@@ -3,7 +3,11 @@
 #   make test          tier-1 test suite (the hard gate every PR must keep green)
 #   make regression    fresh benchmark run diffed against the committed
 #                      BENCH_netsim.json (fails on >20% throughput regression)
-#   make bench         both of the above, in order — the full pre-merge gate
+#   make paper         paper-fidelity gate: every paper table/figure/section
+#                      bench (benchmarks/bench_table*, bench_fig*, bench_sec*,
+#                      bench_chronos_attack) asserting the reproduced results
+#   make bench         test, paper and regression, in order — the full
+#                      pre-merge gate
 #   make bench-refresh re-run benchmarks and rewrite BENCH_netsim.json
 #                      (refuses to overwrite the baseline on regression)
 #   make bench-burst   quick burst-engine microbenchmarks only (delivery
@@ -31,13 +35,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign
+.PHONY: test paper regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q
+
+paper:
+	$(PYTHON) -m pytest -q benchmarks/bench_table*.py benchmarks/bench_fig*.py \
+		benchmarks/bench_sec*.py benchmarks/bench_chronos_attack.py
 
 regression:
 	$(PYTHON) benchmarks/check_regression.py
@@ -53,7 +61,7 @@ store-fsck:
 		$(PYTHON) -m repro.experiments.store fsck .bench_history --allow-missing; \
 	fi
 
-bench: test regression
+bench: test paper regression
 
 bench-refresh:
 	$(PYTHON) benchmarks/run_benchmarks.py

@@ -21,25 +21,19 @@ simulated time), and the per-server checksum is assembled arithmetically
 from cached address word sums.  The crafted bytes are pinned
 byte-identical to ``encode_udp`` by property tests.
 
-Two scheduling shapes are supported, both riding the burst engine:
-
-* **per-campaign cohorts** (default): campaigns started by one
-  ``target()`` / ``target_many()`` call form a *cohort* that keeps its own
-  cadence — every ``query_interval`` the whole cohort fires as one burst
-  heap entry (:meth:`repro.netsim.simulator.Simulator.post_burst_entry`)
-  whose flat loop crafts one spoofed query per active member and hands
-  the spray to :meth:`~repro.netsim.network.Network.transmit_burst`.
-  This is *event-for-event equivalent* to the original per-campaign
-  self-rescheduling loop — the cohort entry consumes one sequence number
-  and counts one processed event per member, members fire in start
-  order, and cohorts started at different instants never merge — so the
-  golden fixed-seed results (event counts included) stay bit-identical
-  while a 46-server round costs two heap entries instead of 92.
-* **batched rounds** (``batched=True``): one shared round grid for all
-  campaigns; a campaign started *mid-interval* is folded onto the grid,
-  so its first gap is shorter than ``query_interval`` — faster than
-  per-campaign mode, never slower, but not query-for-query identical,
-  which is why batching stays opt-in.
+Campaigns ride the burst engine in *per-campaign cohorts*: campaigns
+started by one ``target()`` / ``target_many()`` call form a cohort that
+keeps its own cadence — every ``query_interval`` the whole cohort fires as
+one burst heap entry
+(:meth:`repro.netsim.simulator.Simulator.post_burst_entry`) whose flat
+loop crafts one spoofed query per active member and hands the spray to
+:meth:`~repro.netsim.network.Network.transmit_burst`.  This is
+*event-for-event equivalent* to a per-campaign self-rescheduling loop —
+the cohort entry consumes one sequence number and counts one processed
+event per member, members fire in start order, and cohorts started at
+different instants never merge — so the golden fixed-seed results (event
+counts included) stay bit-identical while a 46-server round costs two
+heap entries instead of 92.
 """
 
 from __future__ import annotations
@@ -134,12 +128,6 @@ class AssociationRemover:
         implementation) so the victim remains limited; the default of 2 s
         keeps the overall attack volume at a fraction of a packet per second
         per server.
-    batched:
-        Opt into batched rounds: one simulator event per interval sends the
-        whole burst of spoofed queries (one per active campaign) through
-        :meth:`~repro.netsim.network.Network.transmit_batch`.  Identical
-        server-side effect for campaigns started together; staggered
-        starts are folded onto the shared round grid (see module doc).
     """
 
     def __init__(
@@ -148,7 +136,6 @@ class AssociationRemover:
         simulator: Simulator,
         victim_ip: str,
         query_interval: float = 2.0,
-        batched: bool = False,
     ) -> None:
         if query_interval < 0:
             # Validated here because the send loop schedules with an inlined
@@ -158,7 +145,6 @@ class AssociationRemover:
         self.simulator = simulator
         self.victim_ip = victim_ip
         self.query_interval = query_interval
-        self.batched = batched
         self.stats = RemoverStats()
         self.campaigns: dict[str, RemovalCampaign] = {}
         #: Hot-loop handles resolved once (the send loop runs per query).
@@ -170,35 +156,25 @@ class AssociationRemover:
         self._wire_time: Optional[float] = None
         self._wire: bytes = b""
         self._wire_sum = 0
-        self._round_scheduled = False
 
     # -------------------------------------------------------------- control
     def target(self, server_ip: str) -> RemovalCampaign:
         """Start (or return the existing) campaign against one server."""
         if server_ip in self.campaigns and self.campaigns[server_ip].active:
             return self.campaigns[server_ip]
-        campaign = self._new_campaign(server_ip)
-        if self.batched:
-            self._send_round_for([campaign])
-            if not self._round_scheduled:
-                self._round_scheduled = True
-                self.simulator.post(self.query_interval, self._send_round)
-        else:
-            cohort = [campaign]
-            self._send_cohort(cohort)
-            self._schedule_cohort(cohort)
-        return campaign
+        cohort = [self._new_campaign(server_ip)]
+        self._send_cohort(cohort)
+        self._schedule_cohort(cohort)
+        return cohort[0]
 
     def target_many(self, server_ips: list[str]) -> list[RemovalCampaign]:
         """Start campaigns against a whole list of servers (scenario P1).
 
         Campaigns started here form one *cohort*: every round is a single
-        burst heap entry and one batched spray instead of one event and
+        burst heap entry and one spray instead of one event and
         one transmit per server (see the module docstring for the
         equivalence argument).
         """
-        if self.batched:
-            return [self.target(ip) for ip in server_ips]
         campaigns: list[RemovalCampaign] = []
         cohort: list[RemovalCampaign] = []
         for server_ip in server_ips:
@@ -254,7 +230,7 @@ class AssociationRemover:
         :func:`repro.netsim.udp.udp_checksum_from_sums` (the call frame is
         measurable over tens of thousands of queries).  Drift between this
         copy and the helper is caught by
-        ``test_prop_batch_delivery.test_spoofed_query_crafting_matches_encode_udp``,
+        ``test_prop_checksum.test_spoofed_query_crafting_matches_encode_udp``,
         which pins this method's output byte-identical to the generic
         ``encode_udp`` tower.
         """
@@ -363,30 +339,4 @@ class AssociationRemover:
             # whole craft-and-spray window is codec-free, so the bucket is
             # disjoint from decode/encode and the delivery pipeline (which
             # runs later, at heap-drain time).
-            STAGES.add("campaign_send", perf_counter() - started)
-
-    # ------------------------------------------------------- batched rounds
-    def _send_round(self) -> None:
-        """One batched round: a burst of queries for every active campaign."""
-        active = [c for c in self.campaigns.values() if c.active]
-        if not active:
-            self._round_scheduled = False
-            return
-        self._send_round_for(active)
-        self.simulator.post(self.query_interval, self._send_round)
-
-    def _send_round_for(self, campaigns: list[RemovalCampaign]) -> None:
-        started = perf_counter() if STAGES.enabled else 0.0
-        now = self.simulator.now
-        if now != self._wire_time:
-            self._query_payload(now)
-        packets = []
-        for campaign in campaigns:
-            packets.append(self._craft_query(campaign))
-            campaign.queries_sent += 1
-        count = len(packets)
-        self.stats.spoofed_queries_sent += count
-        self.attacker.stats.spoofed_ntp_queries_sent += count
-        self.attacker.inject_burst(packets)
-        if started:
             STAGES.add("campaign_send", perf_counter() - started)

@@ -18,20 +18,21 @@ send the in-flight chunks to a *K-way probation tier* — each suspect
 re-runs in its own isolated single-worker pool, so a crash identifies its
 culprit definitively without serialising the rest of the sweep (the main
 pool keeps draining untouched chunks at full width alongside probation).
-Per-run timeouts are enforced in both modes: a stalled pool is killed and
-its innocent chunks requeued, and serial runs are preempted by a watchdog
-thread that raises inside the running scenario.  Failed runs can be
+Per-run timeouts are enforced by the pool: a stalled worker is killed and
+its innocent chunks requeued (a sweep with a ``run_timeout`` goes through
+the pool even when it would otherwise run serially, so no timed run ever
+executes in the driver process).  Failed runs can be
 retried with exponential backoff and *deterministic* jitter
 (:class:`RetryPolicy` — the jitter is a pure function of the run label and
 attempt number, so resumed sweeps pace identically); every failure carries
-a typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps can be
-*checkpointed* to an append-only JSONL file — or written through the
-durable run store of :mod:`repro.experiments.store` (manifests + fsynced
-segments) via :meth:`ExperimentRunner.run_stored` — and later
-:meth:`resumed <ExperimentRunner.resume>`: finished specs are skipped and
-the combined outcome list is identical to an uninterrupted run (scenarios
-are pure functions of their spec, so re-executing the unfinished tail
-reproduces exactly what the interrupted run would have produced).
+a typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps can be written
+through the durable run store of :mod:`repro.experiments.store` (manifests
++ fsynced segments) via :meth:`ExperimentRunner.run_stored` and later
+:meth:`resumed <ExperimentRunner.resume_stored>`: finished specs are
+skipped and the combined outcome list is identical to an uninterrupted run
+(scenarios are pure functions of their spec, so re-executing the
+unfinished tail reproduces exactly what the interrupted run would have
+produced).
 Cancellation is graceful: SIGINT or a sweep-wide deadline raises
 :class:`SweepCancelled` *after* every finished outcome has been flushed
 and fsynced, so a resume continues from the cancellation point.
@@ -44,7 +45,6 @@ import logging
 import os
 import platform
 import random
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -53,13 +53,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.experiments.store import (
-    RepairEvent,
-    outcome_document,
-    repair_segment,
-    scan_records,
-    spec_document,
-)
+from repro.experiments.store import RepairEvent, SweepWriter
 from repro.measurement.report import format_table
 from repro.perf import (
     DISPATCH_STAGES,
@@ -89,16 +83,11 @@ ERROR_KINDS = ("scenario-error", "timeout", "worker-crash")
 _logger = logging.getLogger(__name__)
 
 
-class CheckpointError(RuntimeError):
-    """A sweep checkpoint could not be written, read, or matched to specs."""
-
-
 class SweepCancelled(RuntimeError):
     """A sweep stopped early — gracefully — on SIGINT or a sweep deadline.
 
     Every outcome that finished before the cancellation was already
-    flushed (and fsynced) to the checkpoint / run store, so
-    :meth:`ExperimentRunner.resume` or
+    flushed (and fsynced) to the run store, so
     :meth:`ExperimentRunner.resume_stored` continues exactly from the
     cancellation point.  The finished outcomes ride on the exception as
     ``outcomes`` (``{spec index: RunOutcome}``).
@@ -114,7 +103,7 @@ class SweepCancelled(RuntimeError):
         cause = "SIGINT" if reason == "interrupt" else "its sweep deadline"
         super().__init__(
             f"sweep cancelled by {cause} after {self.completed}/{total} runs; "
-            "finished outcomes are flushed — resume() continues from them"
+            "finished outcomes are flushed — resume_stored() continues from them"
         )
 
 
@@ -237,9 +226,7 @@ def make_grid(scenario: str, **axes: Iterable[Any]) -> list[RunSpec]:
     ]
 
 
-def _execute_chunk(
-    specs: tuple[RunSpec, ...], pack_tenants: int = 0
-) -> list[RunOutcome]:
+def _execute_chunk(specs: tuple[RunSpec, ...]) -> list[RunOutcome]:
     """Run a contiguous slice of the grid in one worker task.
 
     Chunked submission amortises the per-task overhead of the process pool
@@ -247,69 +234,11 @@ def _execute_chunk(
     :func:`repro.experiments.warmup.warm_worker_caches` pool initializer —
     means a worker pays the import/intern/memo warm-up once, not once per
     scenario.  Top-level, hence picklable.
-
-    With ``pack_tenants`` > 1, consecutive same-scenario specs (up to that
-    many per batch) whose scenario registered a tenant pack (see
-    :func:`repro.experiments.scenarios.get_tenant_pack`) execute as one
-    multi-tenant batch behind this worker's warmed caches instead of one
-    at a time.  Scenarios are pure functions of their specs, so results
-    are identical either way; packing only changes per-run wall-time
-    attribution (spread evenly over the pack), so it is skipped while
-    stage-stats collection is on.
     """
     from repro.experiments.warmup import warm_worker_caches
 
     warm_worker_caches()
-    if pack_tenants > 1 and not os.environ.get(STAGE_STATS_ENV):
-        return _execute_packed(specs, pack_tenants)
     return [_execute(spec) for spec in specs]
-
-
-def _execute_packed(
-    specs: tuple[RunSpec, ...], limit: int
-) -> list[RunOutcome]:
-    """Chunk execution with multi-tenant packing of same-scenario runs.
-
-    Falls back to :func:`_execute` per spec whenever a scenario has no
-    registered pack, the pack raises, or it returns the wrong number of
-    results — packing is an optimisation, never a semantic change.
-    """
-    from repro.experiments.scenarios import get_tenant_pack
-
-    outcomes: list[RunOutcome] = []
-    index = 0
-    while index < len(specs):
-        scenario = specs[index].scenario
-        group = [specs[index]]
-        index += 1
-        while (
-            index < len(specs)
-            and specs[index].scenario == scenario
-            and len(group) < limit
-        ):
-            group.append(specs[index])
-            index += 1
-        pack = get_tenant_pack(scenario) if len(group) > 1 else None
-        if pack is None:
-            outcomes.extend(_execute(spec) for spec in group)
-            continue
-        started = time.perf_counter()
-        try:
-            results = pack([spec.kwargs() for spec in group])
-            if len(results) != len(group):
-                raise RuntimeError(
-                    f"tenant pack for {scenario!r} returned "
-                    f"{len(results)} results for {len(group)} specs"
-                )
-        except Exception:  # noqa: BLE001 - packs are best-effort
-            outcomes.extend(_execute(spec) for spec in group)
-            continue
-        share = (time.perf_counter() - started) / len(group)
-        outcomes.extend(
-            RunOutcome(spec=spec, result=result, wall_time=share)
-            for spec, result in zip(group, results)
-        )
-    return outcomes
 
 
 def _execute(spec: RunSpec) -> RunOutcome:
@@ -346,231 +275,6 @@ def _execute(spec: RunSpec) -> RunOutcome:
         wall_time=wall_time,
         stage_stats=STAGES.snapshot(wall_time) if collect_stages else None,
     )
-
-
-# ------------------------------------------------------------ serial watchdog
-class _RunTimeoutInterrupt(BaseException):
-    """Raised *inside* a thread whose serial run exceeded its deadline.
-
-    Derives from ``BaseException`` so a scenario's own ``except
-    Exception`` blocks cannot swallow the preemption.
-    """
-
-
-try:
-    import ctypes
-
-    # PYFUNCTYPE keeps the GIL held across the call, which pythonapi needs.
-    _raise_async_exc = ctypes.PYFUNCTYPE(
-        ctypes.c_int, ctypes.c_ulong, ctypes.py_object
-    )(("PyThreadState_SetAsyncExc", ctypes.pythonapi))
-    _clear_async_exc = ctypes.PYFUNCTYPE(
-        ctypes.c_int, ctypes.c_ulong, ctypes.c_void_p
-    )(("PyThreadState_SetAsyncExc", ctypes.pythonapi))
-except (ImportError, AttributeError):  # non-CPython: no async-exc injection
-    _raise_async_exc = None
-    _clear_async_exc = None
-
-
-class _Watchdog:
-    """Heartbeat thread enforcing per-run deadlines on in-process runs.
-
-    Pool mode enforces ``run_timeout`` by killing the worker process;
-    serial mode has no process to kill, so the watchdog preempts the run
-    by raising :class:`_RunTimeoutInterrupt` inside the executing thread
-    (``PyThreadState_SetAsyncExc``).  CPU-bound scenarios — the real
-    workload, simulator event loops — are interrupted at the next
-    bytecode boundary; a run blocked inside one long C call (e.g. a
-    single ``time.sleep`` spanning the whole budget) only observes the
-    interrupt when that call returns, the inherent limit of in-process
-    preemption.
-
-    Arming, firing and disarming are serialised under one lock, and
-    :meth:`disarm` cancels a fired-but-not-yet-materialised interrupt, so
-    a run that finishes exactly at its deadline cannot leak the interrupt
-    into the next run.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._watching = False
-        self._armed_tid: Optional[int] = None
-        self._deadline = 0.0
-        self._generation = 0
-        self._fired = False
-        self._thread: Optional[threading.Thread] = None
-
-    @staticmethod
-    def available() -> bool:
-        """Whether this interpreter supports async-exception injection."""
-        return _raise_async_exc is not None
-
-    def arm(self, thread_id: int, timeout: float) -> int:
-        """Start the deadline clock for ``thread_id``; returns a token."""
-        with self._wake:
-            self._generation += 1
-            self._armed_tid = thread_id
-            self._deadline = time.monotonic() + timeout
-            self._watching = True
-            self._fired = False
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._loop, name="experiment-watchdog", daemon=True
-                )
-                self._thread.start()
-            self._wake.notify_all()
-            return self._generation
-
-    def disarm(self, token: int) -> bool:
-        """Stop watching; returns True when the deadline fired for ``token``."""
-        with self._wake:
-            if self._generation != token:
-                return False
-            fired = self._fired
-            tid = self._armed_tid
-            self._watching = False
-            self._armed_tid = None
-            self._fired = False
-            self._wake.notify_all()
-        if fired and tid is not None:
-            # Cancel an injected interrupt that has not materialised yet
-            # (the run won the race and completed); a materialised one is
-            # already propagating and is caught by the caller.
-            _clear_async_exc(tid, None)
-        return fired
-
-    def _loop(self) -> None:
-        with self._wake:
-            while True:
-                if not self._watching:
-                    self._wake.wait()
-                    continue
-                remaining = self._deadline - time.monotonic()
-                if remaining > 0:
-                    self._wake.wait(timeout=remaining)
-                    continue
-                # Deadline reached: inject while holding the lock so a
-                # concurrent disarm() cannot interleave.
-                self._fired = True
-                self._watching = False
-                _raise_async_exc(self._armed_tid, _RunTimeoutInterrupt)
-
-
-# --------------------------------------------------------------- checkpoints
-#: The JSON shape a spec takes inside a checkpoint line / store record
-#: (shared with :mod:`repro.experiments.store`).
-_spec_document = spec_document
-
-
-def _json_normalise(value: Any) -> Any:
-    """Round-trip through JSON (tuples → lists etc.) for spec comparison."""
-    return json.loads(json.dumps(value))
-
-
-class _CheckpointWriter:
-    """Append-only JSONL sink for completed outcomes.
-
-    One line per finished run, flushed and fsynced immediately so a killed
-    sweep loses at most the line being written (a torn final line, which
-    the loader tolerates).  Lines are written in *completion* order and
-    carry the spec index, so declaration order is reconstructed on load.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        try:
-            self._repair_damage(path)
-            self._handle = open(path, "a", encoding="utf-8")
-        except OSError as exc:
-            raise CheckpointError(f"cannot open checkpoint {path!r}: {exc}") from exc
-
-    @staticmethod
-    def _repair_damage(path: str) -> list[RepairEvent]:
-        """Rewrite the checkpoint without its damaged lines before appending.
-
-        Generalises the old torn-tail-only truncation: a partial final
-        line from a kill mid-write, undecodable records mid-file and
-        NUL-padded truncation holes are all dropped (the affected runs
-        simply re-execute), via :func:`repro.experiments.store.repair_segment`
-        — valid lines survive byte-for-byte.  Appending without the repair
-        would concatenate the next entry onto a fragment and corrupt it.
-        Every dropped line is reported through a logged warning.
-        """
-        events = repair_segment(path)
-        for event in events:
-            _logger.warning("checkpoint %s: dropped damaged line — %s", path, event)
-        return events
-
-    def append(self, index: int, outcome: RunOutcome) -> None:
-        entry = outcome_document(index, outcome)
-        try:
-            line = json.dumps(entry)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"outcome of {outcome.spec.label} is not JSON-serialisable "
-                f"(checkpointed sweeps need JSON-safe scenario results): {exc}"
-            ) from exc
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-def load_checkpoint(
-    path: str,
-    specs: Sequence[RunSpec],
-    repairs: Optional[list[RepairEvent]] = None,
-) -> dict[int, RunOutcome]:
-    """Read a checkpoint back into ``{spec index: RunOutcome}``.
-
-    Validates every record against the sweep it claims to belong to — the
-    index must be in range and the recorded spec must equal ``specs[index]``
-    (a mismatch means the checkpoint came from a different grid and raises
-    :class:`CheckpointError` rather than silently skipping wrong runs).
-
-    Damage is survivable *and reported*, not silently dropped: a torn
-    final line (kill mid-write), undecodable records anywhere in the file
-    (disk corruption) and NUL-padded truncation holes are each logged as a
-    warning and appended to ``repairs`` when a list is passed — the
-    affected runs simply re-execute on resume.  JSON floats round-trip
-    exactly, so reloaded results compare bit-identical to freshly
-    executed ones.
-    """
-    done: dict[int, RunOutcome] = {}
-    if not os.path.exists(path):
-        return done
-    expected = [_json_normalise(_spec_document(spec)) for spec in specs]
-    records, events = scan_records(path)
-    for event in events:
-        _logger.warning("checkpoint %s: skipped damaged line — %s", path, event)
-    if repairs is not None:
-        repairs.extend(events)
-    for entry in records:
-        index = entry.get("index")
-        if not isinstance(index, int) or not 0 <= index < len(specs):
-            raise CheckpointError(
-                f"checkpoint {path!r}: index {index!r} out of range for a "
-                f"sweep of {len(specs)} specs"
-            )
-        if entry.get("spec") != expected[index]:
-            raise CheckpointError(
-                f"checkpoint {path!r}: recorded spec {entry.get('spec')!r} "
-                f"does not match {specs[index].label} — this checkpoint "
-                "belongs to a different sweep"
-            )
-        done[index] = RunOutcome(
-            spec=specs[index],
-            result=entry.get("result"),
-            wall_time=entry.get("wall_time", 0.0),
-            error=entry.get("error"),
-            stage_stats=entry.get("stage_stats"),
-            error_kind=entry.get("error_kind"),
-            attempts=entry.get("attempts", 1),
-        )
-    return done
 
 
 class _ProgressTracker:
@@ -647,7 +351,7 @@ class ExperimentRunner:
     ----------
     max_workers:
         ``1`` forces in-process serial execution (no pickling requirements
-        at all).  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
+        at all) unless ``run_timeout`` is set.  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
         uses a ``ProcessPoolExecutor``; if the pool cannot be created or a
         submission fails to pickle, the runner falls back to serial
         execution rather than failing the sweep.
@@ -666,16 +370,16 @@ class ExperimentRunner:
         submission.  Each chunk runs against that worker's warmed caches
         (see :mod:`repro.experiments.warmup`).
     run_timeout:
-        Per-run wall-clock budget in seconds, enforced in *both* modes.
-        In process mode a chunk of ``k`` runs gets ``k × run_timeout``,
-        and on expiry the pool is killed, the stalled chunk fails (or
-        retries) with kind ``"timeout"``, the other in-flight chunks are
-        requeued unharmed and a fresh pool takes over; pass
-        ``chunk_size=1`` for strict per-run deadlines.  In serial mode a
-        watchdog thread preempts the running scenario by raising inside
-        it (see :class:`_Watchdog`) — CPU-bound scenarios are interrupted
-        at the next bytecode boundary; a run blocked in one long C call
-        observes the interrupt when the call returns.
+        Per-run wall-clock budget in seconds, enforced by killing the
+        worker process that holds the stalled run.  A chunk of ``k`` runs
+        gets ``k × run_timeout``; on expiry the pool is killed, the
+        stalled chunk fails (or retries) with kind ``"timeout"``, the
+        other in-flight chunks are requeued unharmed and a fresh pool
+        takes over; pass ``chunk_size=1`` for strict per-run deadlines.
+        A timed sweep never runs in-process: where it would otherwise run
+        serially (``max_workers=1`` or a single remaining spec) it goes
+        through the pool anyway — a one-worker pool for ``max_workers=1``
+        — one run per task, so every deadline is per-run.
     retry:
         A :class:`RetryPolicy`; ``None`` disables retries.  Failed runs of
         a kind in ``retry_on`` re-execute (scenarios are pure functions of
@@ -691,11 +395,11 @@ class ExperimentRunner:
         Wall-clock budget in seconds for the whole sweep.  On expiry the
         sweep cancels gracefully: pools are killed, every finished
         outcome is already flushed, and :class:`SweepCancelled` carries
-        the partial results (``resume()`` continues from them).  SIGINT
+        the partial results (``resume_stored()`` continues from them).  SIGINT
         (``KeyboardInterrupt``) cancels the same way.
     on_progress:
         ``callback(completed, total)`` invoked as runs finish (also on
-        runs replayed from a checkpoint).  Throttled by
+        runs replayed from the store).  Throttled by
         ``progress_interval`` seconds (``0`` emits on every completion); a
         final emission is guaranteed.
     """
@@ -711,7 +415,6 @@ class ExperimentRunner:
         sweep_timeout: Optional[float] = None,
         on_progress: Optional[Callable[[int, int], None]] = None,
         progress_interval: float = 0.0,
-        tenants_per_worker: Optional[int] = None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
@@ -719,10 +422,6 @@ class ExperimentRunner:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if tenants_per_worker is not None and tenants_per_worker < 1:
-            raise ValueError(
-                f"tenants_per_worker must be >= 1, got {tenants_per_worker}"
-            )
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
         if probation_width is not None and probation_width < 1:
@@ -744,13 +443,6 @@ class ExperimentRunner:
         self.sweep_timeout = sweep_timeout
         self.on_progress = on_progress
         self.progress_interval = progress_interval
-        #: Multi-tenant worker mode: pack up to this many consecutive
-        #: same-scenario runs into one in-worker batch (scenarios that
-        #: registered a tenant pack only; see
-        #: :func:`repro.experiments.scenarios.tenant_pack`).  ``None`` or
-        #: ``1`` disables packing.  Pool mode only — serial runs are
-        #: already one process behind warm caches.
-        self.tenants_per_worker = tenants_per_worker
         #: "serial" or "processes[N] chunks[M]" — how the last sweep ran.
         self.last_execution_mode: str = "serial"
         #: Crash/timeout/probation counters from the last pool sweep (see
@@ -758,47 +450,15 @@ class ExperimentRunner:
         self.last_recovery: dict[str, Any] = {}
         #: The sweep id of the last run_stored()/resume_stored() sweep.
         self.last_sweep_id: Optional[str] = None
-        self._watchdog: Optional[_Watchdog] = None
 
     # ------------------------------------------------------------- execution
-    def run(
-        self, specs: Sequence[RunSpec], checkpoint: Optional[str] = None
-    ) -> list[RunOutcome]:
+    def run(self, specs: Sequence[RunSpec]) -> list[RunOutcome]:
         """Execute all specs, returning outcomes in declaration order.
 
-        With ``checkpoint`` set, every completed outcome is appended to
-        that JSONL file as it finishes; an existing non-empty checkpoint is
-        refused (use :meth:`resume` to continue it, or delete the file to
-        start over).
+        Nothing is persisted; use :meth:`run_stored` for a sweep that
+        survives a crash and can be resumed.
         """
-        specs = list(specs)
-        if (
-            checkpoint is not None
-            and os.path.exists(checkpoint)
-            and os.path.getsize(checkpoint) > 0
-        ):
-            raise CheckpointError(
-                f"checkpoint {checkpoint!r} already holds outcomes; call "
-                "resume() to continue the sweep, or remove the file to restart"
-            )
-        writer = _CheckpointWriter(checkpoint) if checkpoint is not None else None
-        return self._run(specs, writer, {})
-
-    def resume(
-        self, specs: Sequence[RunSpec], checkpoint: str
-    ) -> list[RunOutcome]:
-        """Continue a checkpointed sweep, skipping already-finished specs.
-
-        Outcomes recorded in the checkpoint are loaded back (validated
-        against ``specs``); only the unfinished tail executes, appending to
-        the same file.  Because scenarios are pure functions of their
-        specs, the returned list is identical to what an uninterrupted
-        :meth:`run` would have produced.  A missing or empty checkpoint
-        degrades to a plain run.
-        """
-        specs = list(specs)
-        done = load_checkpoint(checkpoint, specs)
-        return self._run(specs, _CheckpointWriter(checkpoint), done)
+        return self._run(list(specs), None, {})
 
     # ------------------------------------------------------ store write-through
     def run_stored(
@@ -900,7 +560,7 @@ class ExperimentRunner:
     def _run(
         self,
         specs: list[RunSpec],
-        writer: Optional[Any],
+        writer: Optional[SweepWriter],
         done: dict[int, RunOutcome],
     ) -> list[RunOutcome]:
         previous_env = os.environ.get(STAGE_STATS_ENV)
@@ -922,14 +582,15 @@ class ExperimentRunner:
                 self.on_progress, self.progress_interval, len(specs), len(results)
             )
             try:
-                if self.max_workers == 1 or len(remaining) <= 1:
+                serial = self.max_workers == 1 or len(remaining) <= 1
+                if serial and self.run_timeout is None:
                     self.last_execution_mode = "serial"
                     self._run_serial(remaining, results, writer, progress, deadline)
                 else:
                     self._run_pool(remaining, results, writer, progress, deadline)
             except KeyboardInterrupt:
                 # Graceful cancellation: every finished outcome is already
-                # flushed and fsynced; resume() continues from them.
+                # flushed and fsynced; resume_stored() continues from them.
                 raise SweepCancelled("interrupt", results, len(specs)) from None
             except _SweepDeadlineReached:
                 raise SweepCancelled("deadline", results, len(specs)) from None
@@ -949,7 +610,7 @@ class ExperimentRunner:
         index: int,
         outcome: RunOutcome,
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
     ) -> None:
         results[index] = outcome
@@ -957,46 +618,11 @@ class ExperimentRunner:
             writer.append(index, outcome)
         progress.advance()
 
-    def _execute_serial(self, spec: RunSpec) -> RunOutcome:
-        """One in-process run, pre-empted by the watchdog at ``run_timeout``.
-
-        The watchdog injects :class:`_RunTimeoutInterrupt` into this thread
-        when the deadline passes; because it is a ``BaseException`` the
-        scenario's own ``except Exception`` handlers cannot swallow it.  A
-        run that completes in the same instant the deadline fires keeps its
-        real outcome — the pending interrupt is cleared before it can
-        materialise.
-        """
-        timeout = self.run_timeout
-        if timeout is None:
-            return _execute(spec)
-        if self._watchdog is None:
-            self._watchdog = _Watchdog()
-        watchdog = self._watchdog
-        if not watchdog.available():
-            return _execute(spec)
-        token = watchdog.arm(threading.get_ident(), timeout)
-        try:
-            try:
-                outcome = _execute(spec)
-            finally:
-                watchdog.disarm(token)
-        except _RunTimeoutInterrupt:
-            return RunOutcome(
-                spec=spec,
-                error=(
-                    f"run exceeded its {timeout}s deadline "
-                    "(interrupted in-process by the serial watchdog)"
-                ),
-                error_kind="timeout",
-            )
-        return outcome
-
     def _execute_with_retry(self, spec: RunSpec) -> RunOutcome:
         """Serial execution with the retry policy applied in-process."""
         attempt = 1
         while True:
-            outcome = self._execute_serial(spec)
+            outcome = _execute(spec)
             outcome.attempts = attempt
             if (
                 outcome.ok
@@ -1011,7 +637,7 @@ class ExperimentRunner:
         self,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
         deadline: Optional[float] = None,
     ) -> None:
@@ -1040,7 +666,7 @@ class ExperimentRunner:
         kind: str,
         requeue: "deque[_Chunk]",
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
     ) -> None:
         """Retry a definitively-failed chunk, or materialise typed outcomes."""
@@ -1070,7 +696,7 @@ class ExperimentRunner:
         self,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
         deadline: Optional[float] = None,
     ) -> None:
@@ -1081,21 +707,15 @@ class ExperimentRunner:
         """Slice the grid into contiguous worker tasks (see ``chunk_size``)."""
         size = self.chunk_size
         if size is None:
-            size = max(1, -(-len(specs) // (4 * self.max_workers)))
-            pack = self._pack_limit()
-            if pack > 1:
-                # Chunks sized in whole packs so each worker batch fills its
-                # multi-tenant groups instead of leaving ragged singletons.
-                size = -(-size // pack) * pack
+            if self.max_workers == 1:
+                # Only a timed sweep reaches the pool with one worker; one
+                # run per task keeps its deadlines per-run.
+                size = 1
+            else:
+                size = max(1, -(-len(specs) // (4 * self.max_workers)))
         return [
             tuple(specs[start : start + size]) for start in range(0, len(specs), size)
         ]
-
-    def _pack_limit(self) -> int:
-        """Tenants per in-worker batch (0/1 = multi-tenant packing off)."""
-        if self.tenants_per_worker is None or self.collect_stage_stats:
-            return 0
-        return self.tenants_per_worker
 
     def run_grid(self, scenario: str, **axes: Iterable[Any]) -> list[RunOutcome]:
         """Declare and execute a cross-product grid in one call."""
@@ -1129,7 +749,7 @@ class _PoolEngine:
         runner: ExperimentRunner,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
         deadline: Optional[float],
     ) -> None:
@@ -1240,9 +860,7 @@ class _PoolEngine:
         """Submit one chunk; False means the pool is already broken."""
         try:
             future = self.pool.submit(
-                _execute_chunk,
-                tuple(spec for _, spec in chunk.items),
-                self.runner._pack_limit(),
+                _execute_chunk, tuple(spec for _, spec in chunk.items)
             )
         except BrokenProcessPool:
             self.recovery["worker_crashes"] += 1

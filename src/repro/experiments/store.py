@@ -304,8 +304,7 @@ def spec_from_document(document: dict[str, Any]) -> Any:
 
 
 def outcome_document(index: int, outcome: Any) -> dict[str, Any]:
-    """The JSON record shape of one finished run (checkpoint- and
-    store-compatible)."""
+    """The JSON record shape of one finished run in a sweep segment."""
     entry = {
         "index": index,
         "spec": spec_document(outcome.spec),
@@ -536,8 +535,7 @@ class RunStore:
     ) -> dict[int, Any]:
         """Outcome records as ``{spec index: RunOutcome}``, validated.
 
-        Semantics match :func:`repro.experiments.runner.load_checkpoint`:
-        indices must be in range, recorded specs must equal the declared
+        Indices must be in range, recorded specs must equal the declared
         ones (a mismatch means the records belong to a different sweep and
         raises), later records win over earlier ones (retries, resumes).
         ``specs=None`` uses the manifest's spec list.
@@ -730,9 +728,9 @@ class SweepWriter:
     Opens a *new* segment (next index) rather than appending to the last
     one, so a resume never writes after a possibly-damaged tail.  Rolls to
     a fresh segment when the current one crosses the store's
-    ``segment_bytes``.  Implements the runner's checkpoint-writer protocol
-    (``append(index, outcome)`` / ``close()``) so sweeps write through the
-    store exactly as they would through a plain checkpoint file.
+    ``segment_bytes``.  :meth:`append` / :meth:`close` are what
+    :class:`~repro.experiments.runner.ExperimentRunner` writes finished
+    outcomes through.
     """
 
     def __init__(self, store: RunStore, sweep_id: str) -> None:
@@ -774,7 +772,7 @@ class SweepWriter:
         os.fsync(self._handle.fileno())
 
     def append(self, index: int, outcome: Any) -> None:
-        """Checkpoint-writer protocol: append one finished run outcome."""
+        """Append one finished run outcome (flushed and fsynced)."""
         self.append_record(outcome_document(index, outcome))
 
     def append_aggregate(

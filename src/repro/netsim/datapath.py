@@ -138,7 +138,7 @@ class DeliveryPipeline:
 
     ``datapath``, ``burst_parse``, ``vector_verify``,
     ``burst_bookkeeping`` and ``addr_sum`` exist for the burst engine
-    (:mod:`repro.netsim.burst`): a batched transmit needs to know which
+    (:mod:`repro.netsim.burst`): a burst transmit needs to know which
     compiled datapath stands behind ``deliver``, whether this pair may
     take the pre-parsed burst delivery at all (``burst_parse`` — false for
     unrouted pairs and for pairs whose scalar path would raise on an
@@ -292,7 +292,7 @@ class HostDatapath:
             # pay hashing and eviction for a ~0% hit rate; the extra call
             # frames of udp_checksum_arith cost ~6% of a Table II run on
             # this path.  Mirrors udp_checksum_arith / _fold_checksum word
-            # for word — drift is caught by test_prop_batch_delivery
+            # for word — drift is caught by test_prop_checksum
             # (arith-vs-cached property) and test_datapath's
             # instrumented-vs-uninstrumented counter comparison (the timed
             # twin calls udp_checksum_arith instead).

@@ -11,7 +11,7 @@ honoured, and how IPIDs are assigned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.datapath import HostDatapath
 from repro.netsim.defrag import DefragmentationCache, ReassemblyPolicy
@@ -246,16 +246,6 @@ class Host:
         network uses.
         """
         self.datapath.deliver(packet)
-
-    def receive_batch(self, packets: Iterable[IPv4Packet]) -> None:
-        """Deliver a burst of packets to this host in order.
-
-        Equivalent to calling :meth:`receive` per packet; the deliver
-        callable is resolved once for the whole burst.
-        """
-        deliver = self.datapath.deliver
-        for packet in packets:
-            deliver(packet)
 
     # ------------------------------------------------------------- utilities
     def bound_ports(self) -> list[int]:

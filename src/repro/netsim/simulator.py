@@ -20,7 +20,7 @@ coexist:
   which schedules millions of events per experiment and never cancels one.
 * ``(time, sequence, burst, _BURST)`` — *burst* entries created by
   :meth:`Simulator.post_burst` (or pushed directly by the network's
-  batched transmit path).  One heap entry stands for ``burst.count``
+  burst transmit path).  One heap entry stands for ``burst.count``
   logical events firing at the same instant: the entry consumes ``count``
   contiguous sequence numbers at creation and counts ``count`` towards
   ``events_processed`` when drained, so an injected burst of N packets
@@ -72,7 +72,7 @@ _EVENT = object()
 #: Sentinel for "posted callback takes no argument".
 _NO_ARG = object()
 #: Heap-entry discriminator for burst entries (see module docstring).  The
-#: network's batched transmit path pushes these directly (friend access,
+#: network's burst transmit path pushes these directly (friend access,
 #: mirroring its inlined ``post``), so the sentinel is shared, not private
 #: to the loop.
 _BURST = object()
@@ -204,7 +204,7 @@ class Simulator:
         self._spawned = 0
         self.events_processed = 0
         #: Burst heap entries created so far (post_burst / post_burst_entry
-        #: / the network's batched transmit).  ``events_processed`` already
+        #: / the network's burst transmit).  ``events_processed`` already
         #: counts burst members individually; this counter exposes how much
         #: coalescing the run actually achieved.
         self.bursts_posted = 0

@@ -58,25 +58,27 @@ class TestCampaignMechanics:
 
 
 class TestBatchedRounds:
+    """Campaigns started together fire as one cohort: each round is one
+    burst heap entry and one spray through ``transmit_burst``."""
+
     def test_batched_rounds_match_per_campaign_outcomes(self):
-        """Batched mode (one event per round, transmit_batch burst) must
-        rate-limit the same servers with the same query volume as the
-        default per-campaign scheduling — only the event-loop shape may
-        differ."""
+        """One cohort of N campaigns (``target_many``) must rate-limit the
+        same servers with the same query volume as N one-member cohorts
+        (``target`` per server) — only the event-loop shape may differ."""
         from repro.testbed import TestbedConfig, build_testbed
 
-        def run(batched: bool):
+        def run(cohort: bool):
             testbed = build_testbed(TestbedConfig(pool_size=24, seed=7))
             victim_ip = "192.0.2.150"
             remover = AssociationRemover(
-                testbed.attacker,
-                testbed.simulator,
-                victim_ip,
-                query_interval=2.0,
-                batched=batched,
+                testbed.attacker, testbed.simulator, victim_ip, query_interval=2.0
             )
             targets = testbed.pool.addresses[:6]
-            remover.target_many(targets)
+            if cohort:
+                remover.target_many(targets)
+            else:
+                for ip in targets:
+                    remover.target(ip)
             testbed.run_for(120)
             limited = sorted(
                 ip
@@ -88,7 +90,7 @@ class TestBatchedRounds:
             )
             return limited, per_campaign, remover.stats.spoofed_queries_sent
 
-        assert run(batched=False) == run(batched=True)
+        assert run(cohort=False) == run(cohort=True)
 
     def test_batched_round_stops_when_all_campaigns_stop(self, small_testbed):
         remover = AssociationRemover(
@@ -96,7 +98,6 @@ class TestBatchedRounds:
             small_testbed.simulator,
             "192.0.2.150",
             query_interval=2.0,
-            batched=True,
         )
         remover.target_many(small_testbed.pool.addresses[:3])
         small_testbed.run_for(20)
@@ -111,7 +112,6 @@ class TestBatchedRounds:
             small_testbed.simulator,
             "192.0.2.150",
             query_interval=2.0,
-            batched=True,
         )
         first = small_testbed.pool.addresses[0]
         remover.target(first)

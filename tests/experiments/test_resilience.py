@@ -1,4 +1,4 @@
-"""Resilience tests: timeouts, retries, crash recovery, checkpointed sweeps.
+"""Resilience tests: timeouts, retries, crash recovery, store-backed resumes.
 
 Marked ``chaos`` alongside the fault-model property suite — ``make chaos``
 runs both.  Worker-killing tests rely on the ``fork`` start method (the
@@ -8,20 +8,18 @@ visible inside pool workers.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import pytest
 
 from repro.experiments import (
-    CheckpointError,
     ERROR_KINDS,
     ExperimentRunner,
     RetryPolicy,
     RunSpec,
+    RunStore,
     SweepCancelled,
-    load_checkpoint,
     make_grid,
     scenario,
 )
@@ -71,7 +69,7 @@ def _test_res_sleep(seconds: float = 30.0, x: int = 0) -> int:
 
 @scenario("_test_res_spin")
 def _test_res_spin(seconds: float = 30.0, x: int = 0) -> int:
-    """CPU-bound stall: only an in-process interrupt can stop it early."""
+    """CPU-bound stall: only killing its process can stop it early."""
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
         pass
@@ -260,19 +258,44 @@ class TestProgress:
         assert len(seen) <= 2
 
 
+def _outcome_records(store: RunStore, sweep_id: str) -> list[dict]:
+    """A sweep's outcome records, in completion order."""
+    return [r for r in store.records(sweep_id) if "index" in r]
+
+
+def _killed_sweep(
+    tmp_path, specs, records: list[dict], torn: bool = False
+) -> RunStore:
+    """A store holding sweep ``s`` as a driver killed mid-sweep leaves it:
+    the manifest, the first finished ``records`` and optionally a torn
+    half-written record (the kill landed mid-append)."""
+    store = RunStore(str(tmp_path / "killed"))
+    writer = store.begin_sweep("killed", specs, sweep_id="s")
+    for record in records:
+        writer.append_record(record)
+    writer.close()
+    if torn:
+        with open(writer.path, "ab") as handle:
+            handle.write(b'{"index": 5, "spec": {"scenario"')
+    return store
+
+
 class TestCheckpointing:
+    """Store-backed sweeps resume exactly where a killed driver stopped."""
+
     def grid(self):
         return make_grid("_test_res_square", x=list(range(6)))
 
     def test_checkpoint_lines_written_per_outcome(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path))
         specs = self.grid()
-        outcomes = ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-        with open(path) as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
-        assert len(lines) == len(specs)
-        assert {entry["index"] for entry in lines} == set(range(len(specs)))
-        for entry in lines:
+        outcomes = ExperimentRunner(max_workers=1).run_stored(
+            store, "t", specs, sweep_id="s"
+        )
+        records = _outcome_records(store, "s")
+        assert len(records) == len(specs)
+        assert {entry["index"] for entry in records} == set(range(len(specs)))
+        for entry in records:
             assert set(entry) >= {
                 "index",
                 "spec",
@@ -284,91 +307,79 @@ class TestCheckpointing:
             }
         assert [o.result for o in outcomes] == [x * x for x in range(6)]
 
-    def test_run_refuses_existing_checkpoint(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        specs = self.grid()
-        ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-        with pytest.raises(CheckpointError):
-            ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         specs = self.grid()
         uninterrupted = ExperimentRunner(max_workers=1).run(specs)
 
-        # Simulate a sweep killed partway: keep the first 3 checkpoint
-        # lines (plus a torn partial line from the kill mid-write).
-        full_path = str(tmp_path / "full.jsonl")
-        ExperimentRunner(max_workers=1).run(specs, checkpoint=full_path)
-        with open(full_path) as handle:
-            lines = handle.readlines()
-        partial_path = str(tmp_path / "partial.jsonl")
-        with open(partial_path, "w") as handle:
-            handle.writelines(lines[:3])
-            handle.write(lines[3][: len(lines[3]) // 2])  # torn tail
+        # Simulate a sweep killed partway: keep the first 3 outcome records
+        # (plus a torn partial record from the kill mid-write).
+        full = RunStore(str(tmp_path / "full"))
+        ExperimentRunner(max_workers=1).run_stored(full, "t", specs, sweep_id="s")
+        store = _killed_sweep(
+            tmp_path, specs, _outcome_records(full, "s")[:3], torn=True
+        )
 
-        executed = []
         seen = []
         runner = ExperimentRunner(
             max_workers=1, on_progress=lambda done, total: seen.append((done, total))
         )
-        resumed = runner.resume(specs, checkpoint=partial_path)
+        resumed = runner.resume_stored(store, "s")
         assert [(o.spec, o.result, o.error, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error, o.error_kind) for o in uninterrupted
         ]
         # Only the unfinished tail re-executed: 3 new completions on top of
         # the 3 replayed, ending at the full total.
         assert seen == [(4, 6), (5, 6), (6, 6)]
-        # And the checkpoint now covers the whole sweep: a second resume
-        # replays everything without executing anything.
-        again = ExperimentRunner(max_workers=1).resume(specs, checkpoint=partial_path)
+        assert store.manifest("s")["status"] == "complete"
+        # And the sweep now covers every spec: a second resume replays
+        # everything without executing anything.
+        seen.clear()
+        again = runner.resume_stored(store, "s")
         assert [o.result for o in again] == [o.result for o in uninterrupted]
+        assert seen == [(6, 6)]
 
     def test_resume_of_missing_checkpoint_degrades_to_run(self, tmp_path):
-        path = str(tmp_path / "fresh.jsonl")
-        outcomes = ExperimentRunner(max_workers=1).resume(
-            self.grid(), checkpoint=path
-        )
+        store = _killed_sweep(tmp_path, self.grid(), [])
+        outcomes = ExperimentRunner(max_workers=1).resume_stored(store, "s")
         assert [o.result for o in outcomes] == [x * x for x in range(6)]
-        assert os.path.exists(path)
-
-    def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        ExperimentRunner(max_workers=1).run(self.grid(), checkpoint=path)
-        other = make_grid("_test_res_square", x=[99, 98, 97, 96, 95, 94])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, other)
-        with pytest.raises(CheckpointError):
-            ExperimentRunner(max_workers=1).resume(other, checkpoint=path)
-
-    def test_checkpoint_index_out_of_range_rejected(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        ExperimentRunner(max_workers=1).run(self.grid(), checkpoint=path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, self.grid()[:2])
+        assert len(_outcome_records(store, "s")) == 6
 
     def test_failures_checkpoint_and_replay(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        specs = [RunSpec.make("_test_res_fail"), RunSpec.make("_test_res_square", x=3)]
-        first = ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-        replayed = ExperimentRunner(max_workers=1).resume(specs, checkpoint=path)
+        """A recorded failure is replayed on resume, not re-run: the flaky
+        scenario would succeed on a second attempt."""
+        marker = str(tmp_path / "flaky")
+        store = RunStore(str(tmp_path / "store"))
+        specs = [
+            RunSpec.make("_test_res_flaky", marker=marker, fail_times=1),
+            RunSpec.make("_test_res_square", x=3),
+        ]
+        runner = ExperimentRunner(max_workers=1, retry=None)
+        first = runner.run_stored(store, "t", specs, sweep_id="s")
+        replayed = runner.resume_stored(store, "s")
         assert replayed[0].error == first[0].error
         assert replayed[0].error_kind == "scenario-error"
         assert replayed[1].result == 9
+        with open(marker) as handle:
+            assert handle.read() == "1"  # executed exactly once
 
     def test_pool_mode_checkpoint_resume(self, tmp_path):
-        """Checkpoints work under process fan-out, not just serially."""
-        path = str(tmp_path / "sweep.jsonl")
+        """Resume works under process fan-out, not just serially."""
         specs = make_grid(
             "table3_probabilities", trials=[10_000], m_max=[2, 3, 4, 5]
         )
         uninterrupted = ExperimentRunner(max_workers=2).run(specs)
-        ExperimentRunner(max_workers=2).run(specs, checkpoint=path)
-        resumed = ExperimentRunner(max_workers=2).resume(specs, checkpoint=path)
+        full = RunStore(str(tmp_path / "full"))
+        ExperimentRunner(max_workers=2).run_stored(full, "t", specs, sweep_id="s")
+        store = _killed_sweep(tmp_path, specs, _outcome_records(full, "s")[:2])
+        runner = ExperimentRunner(max_workers=2)
+        resumed = runner.resume_stored(store, "s")
+        assert runner.last_execution_mode.startswith("processes[2]")
         assert [o.result for o in resumed] == [o.result for o in uninterrupted]
 
 
 class TestSerialWatchdog:
-    """run_timeout is enforced in serial mode too, via in-process preemption."""
+    """run_timeout is enforced for max_workers=1 too: the sweep runs in a
+    one-worker pool whose worker is killed at the deadline."""
 
     def test_cpu_bound_run_interrupted_in_serial_mode(self):
         runner = ExperimentRunner(max_workers=1, run_timeout=0.5)
@@ -380,9 +391,9 @@ class TestSerialWatchdog:
         outcomes = runner.run(specs)
         elapsed = time.monotonic() - start
         assert elapsed < 10.0  # did not wait out the 30s busy-loop
-        assert runner.last_execution_mode == "serial"
+        assert runner.last_execution_mode.startswith("processes[1]")
         assert outcomes[0].error_kind == "timeout"
-        assert "watchdog" in outcomes[0].error
+        assert "worker killed" in outcomes[0].error
         # the interrupt did not leak into the next run
         assert outcomes[1].ok and outcomes[1].result == 16
 
@@ -403,11 +414,12 @@ class TestSerialWatchdog:
 
 
 class TestGracefulCancellation:
-    """SIGINT / sweep deadline flush finished outcomes; resume() continues."""
+    """SIGINT / sweep deadline flush finished outcomes; resume_stored()
+    continues."""
 
     def test_interrupt_flushes_partial_results(self, tmp_path):
         marker = str(tmp_path / "interrupted")
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path / "store"))
         specs = [
             RunSpec.make("_test_res_square", x=2),
             RunSpec.make("_test_res_interrupt_once", marker=marker),
@@ -415,31 +427,36 @@ class TestGracefulCancellation:
         ]
         runner = ExperimentRunner(max_workers=1)
         with pytest.raises(SweepCancelled) as excinfo:
-            runner.run(specs, checkpoint=path)
+            runner.run_stored(store, "t", specs, sweep_id="s")
         cancelled = excinfo.value
         assert cancelled.reason == "interrupt"
         assert cancelled.completed == 1 and cancelled.total == 3
         assert cancelled.outcomes[0].result == 4
-        # the flushed checkpoint resumes past the interruption point
-        resumed = ExperimentRunner(max_workers=1).resume(specs, checkpoint=path)
+        assert store.manifest("s")["status"] == "cancelled"
+        assert [r["result"] for r in _outcome_records(store, "s")] == [4]
+        # the flushed sweep resumes past the interruption point
+        resumed = ExperimentRunner(max_workers=1).resume_stored(store, "s")
         assert [o.result for o in resumed] == [4, 1, 25]
+        assert store.manifest("s")["status"] == "complete"
 
     def test_sweep_deadline_cancels_serial_sweep(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path))
         specs = [
             RunSpec.make("_test_res_sleep", seconds=0.2, x=i) for i in range(10)
         ]
         runner = ExperimentRunner(max_workers=1, sweep_timeout=0.5)
         start = time.monotonic()
         with pytest.raises(SweepCancelled) as excinfo:
-            runner.run(specs, checkpoint=path)
+            runner.run_stored(store, "t", specs, sweep_id="s")
         elapsed = time.monotonic() - start
         assert elapsed < 5.0
         cancelled = excinfo.value
         assert cancelled.reason == "deadline"
         assert 1 <= cancelled.completed < 10
+        assert store.manifest("s")["status"] == "cancelled"
         # every finished outcome is on disk; a resume completes the sweep
-        resumed = ExperimentRunner(max_workers=1).resume(specs, checkpoint=path)
+        assert len(_outcome_records(store, "s")) == cancelled.completed
+        resumed = ExperimentRunner(max_workers=1).resume_stored(store, "s")
         assert [o.result for o in resumed] == list(range(10))
 
     def test_sweep_deadline_cancels_pool_sweep(self):
@@ -493,9 +510,14 @@ class TestProbationEngine:
 
     def test_crash_during_probation_is_definitive_culprit(self):
         """A suspect that crashes its isolated pool fails with attempts
-        counted across its probation re-runs."""
+        counted across its probation re-runs.
+
+        The siblings hold their worker for a moment, so one is always in
+        flight when the crash breaks the main pool: the crash then has two
+        suspects and is attributed in probation, never in the main pool.
+        """
         specs = [RunSpec.make("_test_res_crash")] + [
-            RunSpec.make("_test_res_square", x=i) for i in range(5)
+            RunSpec.make("_test_res_sleep", seconds=0.3, x=i * i) for i in range(5)
         ]
         runner = ExperimentRunner(
             max_workers=2,
@@ -525,16 +547,12 @@ class TestProbationEngine:
             return ExperimentRunner(max_workers=2, chunk_size=1, retry=None)
 
         uninterrupted = runner().run(specs)
-        full_path = str(tmp_path / "full.jsonl")
-        runner().run(specs, checkpoint=full_path)
-        with open(full_path) as handle:
-            lines = handle.readlines()
+        full = RunStore(str(tmp_path / "full"))
+        runner().run_stored(full, "t", specs, sweep_id="s")
         # keep only the first two finished outcomes — the sweep dies while
         # the crash chunk is still in quarantine/probation
-        partial_path = str(tmp_path / "partial.jsonl")
-        with open(partial_path, "w") as handle:
-            handle.writelines(lines[:2])
-        resumed = runner().resume(specs, checkpoint=partial_path)
+        store = _killed_sweep(tmp_path, specs, _outcome_records(full, "s")[:2])
+        resumed = runner().resume_stored(store, "s")
         assert [(o.spec, o.result, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error_kind) for o in uninterrupted
         ]

@@ -23,6 +23,7 @@ from typing import Any
 
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.store import RunStore
 from repro.population.chaos import run_chaos_campaign, smoke_plan
@@ -94,18 +95,15 @@ def digest(document: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _fleet(seed: int) -> dict:
-    return run_fleet(HETEROGENEOUS_FLEET, seed=seed)
-
-
-def _chaos(seed: int, store_dir: str) -> dict:
+def _chaos(seed: int, store_dir: str, runner=None) -> dict:
     return run_chaos_campaign(
-        RunStore(store_dir), "chaos-smoke", smoke_spec(), smoke_plan(), seed=seed
+        RunStore(store_dir),
+        "chaos-smoke",
+        smoke_spec(),
+        smoke_plan(),
+        seed=seed,
+        runner=runner,
     )
-
-
-def _table3(seed: int) -> dict:
-    return get_scenario("table3_probabilities")(mc_seed=seed)
 
 
 def _landscape(seed: int, store_dir: str) -> dict:
@@ -127,11 +125,11 @@ def build(key: str, store_dir: str) -> dict:
     kind, seed = key.rsplit("-", 1)
     seed = int(seed)
     if kind == "fleet":
-        return _fleet(seed)
+        return run_fleet(HETEROGENEOUS_FLEET, seed=seed)
     if kind == "chaos":
         return _chaos(seed, store_dir)
     if kind == "table3":
-        return _table3(seed)
+        return get_scenario("table3_probabilities")(mc_seed=seed)
     return _landscape(seed, store_dir)
 
 
@@ -148,6 +146,13 @@ class TestDigestCanonicalisation:
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_digest(key, tmp_path):
     assert digest(build(key, str(tmp_path))) == GOLDEN[key]
+
+
+def test_pool_campaign_matches_serial_golden(tmp_path):
+    # Checkpoints fanned out over worker processes reproduce the serial
+    # campaign bit for bit.
+    campaign = _chaos(0, str(tmp_path), runner=ExperimentRunner(max_workers=2))
+    assert digest(campaign) == GOLDEN["chaos-0"]
 
 
 if __name__ == "__main__":

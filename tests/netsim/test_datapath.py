@@ -1,5 +1,5 @@
 """Tests for the compiled delivery pipelines, link trust profiles,
-batched delivery, strict routing and pipeline stage attribution."""
+burst delivery, strict routing and pipeline stage attribution."""
 
 import pytest
 
@@ -133,12 +133,25 @@ class TestStrictRouting:
             pytest.fail("strict routing did not raise for an unknown destination")
 
     def test_strict_batch_raises_too(self):
-        _, net, _, _ = make_net(strict_routing=True)
-        packet = IPv4Packet(
+        sim, net, _, b = make_net(strict_routing=True)
+        received = []
+        b.bind(53, lambda payload, ip, port: received.append(payload))
+        routed = IPv4Packet.udp(
+            "10.0.0.1",
+            "10.0.0.2",
+            encode_udp("10.0.0.1", "10.0.0.2", UDPDatagram(4000, 53, b"ping")),
+            1,
+        )
+        unrouted = IPv4Packet(
             src="10.0.0.1", dst="172.16.0.1", protocol=IPProtocol.UDP, payload=b""
         )
         with pytest.raises(NoRouteError):
-            net.transmit_batch([packet])
+            net.transmit_burst([routed, unrouted])
+        # Like a singular transmit loop, everything before the unroutable
+        # packet is already on the wire and the counters are reconciled.
+        assert net.packets_transmitted == 2
+        sim.run()
+        assert received == [b"ping"]
 
 
 class TestPipelineCache:
@@ -201,18 +214,11 @@ class TestPipelineCache:
 
 
 class TestBatchedDelivery:
+    """Multi-packet delivery through the burst engine."""
+
     def _query_packet(self, src, dst, ipid):
         payload = encode_udp(src, dst, UDPDatagram(4000, 53, b"ping"))
         return IPv4Packet.udp(src, dst, payload, ipid)
-
-    def test_receive_batch_equals_sequential_receive(self):
-        sim, net, a, b = make_net()
-        received = []
-        b.bind(53, lambda payload, ip, port: received.append(payload))
-        packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(5)]
-        b.receive_batch(packets)
-        assert received == [b"ping"] * 5
-        assert b.stats.udp_received == 5
 
     def test_transmit_batch_counts_and_delivers(self):
         sim, net, a, b = make_net()
@@ -220,7 +226,7 @@ class TestBatchedDelivery:
         b.bind(53, lambda payload, ip, port: received.append(payload))
         packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(8)]
         packets.append(self._query_packet("10.0.0.1", "172.16.0.1", 99))  # unrouted
-        net.transmit_batch(packets)
+        net.transmit_burst(packets)
         sim.run()
         assert received == [b"ping"] * 8
         assert net.packets_transmitted == 9
@@ -229,8 +235,9 @@ class TestBatchedDelivery:
     def test_inject_batch_marks_spoofed(self):
         sim, net, a, b = make_net()
         packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(3)]
-        net.inject_batch(packets)
+        net.inject_burst(packets)
         assert all(p.metadata["spoofed"] for p in packets)
+        assert net.packets_transmitted == 3
 
 
 class TestStageAttribution:

@@ -6,8 +6,9 @@ Three pinned equivalences:
   equivalent to N single ``transmit`` calls under a fixed seed — same
   sequence-number consumption, same delivery order and bytes, same loss
   draws, captures and counters — even though the heap-entry shape differs
-  (same-instant groups coalesce into one burst entry).  The property
-  reuses the worlds of ``test_prop_batch_delivery``.
+  (same-instant groups coalesce into one burst entry).  Its seeded
+  worlds and generated send plans are shared with the fault properties
+  (``test_prop_faults``).
 * ``RateLimiter.consume_burst(source, n, now)`` must match ``n``
   sequential ``consume()`` calls bit-for-bit: decisions in order, final
   bucket state, and every aggregate counter, across token levels, refill
@@ -25,19 +26,114 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.burst import DeliveryBurst
-from repro.netsim.packet import IPv4Packet
+from repro.netsim.capture import PacketCapture
+from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.network import Network
+from repro.netsim.network import Link, Network
 from repro.netsim.udp import UDPDatagram, encode_udp, udp_checksum_arith
 from repro.ntp.rate_limit import RateLimitDecision, RateLimiter
 
-from tests.properties.test_prop_batch_delivery import (
-    HOST_IPS,
-    build_packets,
-    build_world,
-    observable_state,
-    sends,
+HOST_IPS = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+UNKNOWN_IP = "172.16.0.9"
+
+
+def build_world(loss: float):
+    simulator = Simulator(seed=11)
+    network = Network(simulator, default_latency=0.01)
+    hosts = {}
+    received = []
+    for ip in HOST_IPS:
+        host = network.add_host(f"h-{ip}", ip)
+        host.bind(53, lambda payload, src, port, _ip=ip: received.append((_ip, payload, src, port)))
+        hosts[ip] = host
+    if loss:
+        network.set_link(HOST_IPS[0], HOST_IPS[1], Link(latency=0.01, loss_probability=loss))
+    capture = PacketCapture(name="prop")
+    network.attach_capture(capture)
+    return simulator, network, received, capture
+
+
+#: One generated "send": (src index, dst index-or-unknown, payload length,
+#: corrupt checksum?, fragmented?, spoofed inject?).
+sends = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=120),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
 )
+
+
+def build_packets(plan) -> list[tuple[IPv4Packet, bool]]:
+    """Materialise one (packet, spoofed?) list from a generated plan.
+
+    Fragmented sends become two-fragment trains sharing an IPID, so the
+    defrag path (bucket creation, reassembly, spoofed-fragment counting)
+    is exercised by both delivery shapes.
+    """
+    packets: list[tuple[IPv4Packet, bool]] = []
+    for index, (src_i, dst_i, size, corrupt, fragment, spoof) in enumerate(plan):
+        src = HOST_IPS[src_i]
+        dst = UNKNOWN_IP if dst_i == 3 else HOST_IPS[dst_i]
+        body = bytes((index + offset) & 0xFF for offset in range(size))
+        checksum_src = "9.9.9.9" if corrupt else src
+        payload = encode_udp(checksum_src, dst, UDPDatagram(4000, 53, body))
+        ipid = index & 0xFFFF
+        if fragment and len(payload) >= 16:
+            boundary = (len(payload) // 2) & ~0x7
+            if boundary >= 8:
+                first = IPv4Packet(
+                    src=src,
+                    dst=dst,
+                    protocol=IPProtocol.UDP,
+                    payload=payload[:boundary],
+                    ipid=ipid,
+                    more_fragments=True,
+                )
+                second = IPv4Packet(
+                    src=src,
+                    dst=dst,
+                    protocol=IPProtocol.UDP,
+                    payload=payload[boundary:],
+                    ipid=ipid,
+                    fragment_offset=boundary // 8,
+                )
+                packets.append((first, spoof))
+                packets.append((second, spoof))
+                continue
+        packets.append(
+            (
+                IPv4Packet.udp(src, dst, payload, ipid),
+                spoof,
+            )
+        )
+    return packets
+
+
+def observable_state(simulator, network, received, capture, hosts_of):
+    return {
+        "received": list(received),
+        "now": simulator.now,
+        "sequence": simulator._sequence,
+        "events_processed": simulator.events_processed,
+        "transmitted": network.packets_transmitted,
+        "dropped": network.packets_dropped,
+        "captured": [
+            (c.time, c.packet.src, c.packet.dst, c.packet.payload, c.packet.ipid)
+            for c in capture.packets
+        ],
+        "host_stats": [
+            (
+                host.stats.udp_received,
+                host.stats.udp_checksum_failures,
+                host.defrag.stats.fragments_received,
+                host.defrag.stats.packets_reassembled,
+                host.defrag.stats.spoofed_fragments_used,
+            )
+            for host in hosts_of()
+        ],
+    }
 
 
 class TestTransmitBurstEquivalence:

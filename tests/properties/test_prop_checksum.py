@@ -1,4 +1,9 @@
-"""Property-based tests for checksum arithmetic and checksum fixing."""
+"""Property-based tests for checksum arithmetic and checksum fixing.
+
+The last block pins the UDP checksum fast paths (arithmetic fold,
+precomputed word sums) and the spoofed-query crafting built on them
+byte-identical to the generic ``encode_udp`` tower they replaced.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +14,15 @@ from repro.netsim.checksum import (
     internet_checksum,
     ones_complement_sum,
     verify_checksum,
+)
+from repro.netsim.udp import (
+    UDPDatagram,
+    _address_word_sum,
+    encode_udp,
+    payload_word_sum,
+    udp_checksum,
+    udp_checksum_arith,
+    udp_checksum_from_sums,
 )
 
 payloads = st.binary(min_size=0, max_size=512)
@@ -69,3 +83,61 @@ class TestChecksumFixProperties:
     def test_identical_fragments_unchanged(self, original):
         crafted = craft_matching_fragment(original, original, adjustable_offsets=[0])
         assert crafted == original
+
+
+class TestChecksumFastPathsPinned:
+    addresses = st.sampled_from(
+        ["10.0.0.1", "192.0.2.53", "203.0.113.17", "66.6.6.1", "255.255.255.254"]
+    )
+    ports = st.integers(min_value=0, max_value=0xFFFF)
+    payloads = st.binary(min_size=0, max_size=256)
+
+    @given(addresses, addresses, ports, ports, payloads)
+    @settings(max_examples=200)
+    def test_arith_checksum_matches_cached(self, src, dst, sport, dport, payload):
+        datagram = UDPDatagram(sport, dport, payload)
+        assert udp_checksum_arith(src, dst, sport, dport, payload) == udp_checksum(
+            src, dst, datagram
+        )
+
+    @given(addresses, addresses, ports, ports, payloads)
+    @settings(max_examples=200)
+    def test_checksum_from_sums_matches_cached(self, src, dst, sport, dport, payload):
+        expected = udp_checksum(src, dst, UDPDatagram(sport, dport, payload))
+        observed = udp_checksum_from_sums(
+            _address_word_sum(src),
+            _address_word_sum(dst),
+            sport,
+            dport,
+            8 + len(payload),
+            payload_word_sum(payload),
+        )
+        assert observed == expected
+
+    @given(st.floats(min_value=0.0, max_value=4_000_000.0, allow_nan=False))
+    @settings(max_examples=100)
+    def test_spoofed_query_crafting_matches_encode_udp(self, now):
+        """The remover's crafted spoofed query is byte-identical to the
+        generic UDP encode tower it replaced."""
+        from repro.ntp.packet import NTPPacket, NTP_PORT
+
+        victim, server = "192.0.2.101", "203.0.113.7"
+        wire = NTPPacket.client_query_wire(now)
+        reference = encode_udp(
+            victim, server, UDPDatagram(NTP_PORT, NTP_PORT, wire)
+        )
+
+        from repro.core import rate_limit_abuse as rla
+
+        remover = object.__new__(rla.AssociationRemover)
+        remover.victim_ip = victim
+        remover._wire_time = None
+        remover._wire = b""
+        remover._wire_sum = 0
+        remover._query_payload(now)
+        campaign = rla.RemovalCampaign(
+            server_ip=server, victim_ip=victim, started_at=0.0
+        )
+        packet = remover._craft_query(campaign)
+        assert packet.payload == reference
+        assert packet.src == victim and packet.dst == server

@@ -39,7 +39,7 @@ from repro.netsim import (
 )
 from repro.netsim.packet import IPv4Packet
 
-from tests.properties.test_prop_batch_delivery import (
+from tests.properties.test_prop_burst import (
     HOST_IPS,
     build_packets,
     build_world,
