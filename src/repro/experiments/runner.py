@@ -351,8 +351,9 @@ class ExperimentRunner:
     ----------
     max_workers:
         ``1`` forces in-process serial execution (no pickling requirements
-        at all) unless ``run_timeout`` is set.  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
-        uses a ``ProcessPoolExecutor``; if the pool cannot be created or a
+        at all) unless ``run_timeout`` is set.  ``None`` uses
+        ``os.cpu_count()``.  Anything larger than 1 uses a
+        ``ProcessPoolExecutor``; if the pool cannot be created or a
         submission fails to pickle, the runner falls back to serial
         execution rather than failing the sweep.
     collect_stage_stats:
@@ -395,13 +396,13 @@ class ExperimentRunner:
         Wall-clock budget in seconds for the whole sweep.  On expiry the
         sweep cancels gracefully: pools are killed, every finished
         outcome is already flushed, and :class:`SweepCancelled` carries
-        the partial results (``resume_stored()`` continues from them).  SIGINT
-        (``KeyboardInterrupt``) cancels the same way.
+        the partial results (``resume_stored()`` continues from them).
+        SIGINT (``KeyboardInterrupt``) cancels the same way.
     on_progress:
         ``callback(completed, total)`` invoked as runs finish (also on
-        runs replayed from the store).  Throttled by
-        ``progress_interval`` seconds (``0`` emits on every completion); a
-        final emission is guaranteed.
+        runs replayed from the store).  Throttled by ``progress_interval``
+        seconds (``0`` emits on every completion); a final emission is
+        guaranteed.
     """
 
     def __init__(
