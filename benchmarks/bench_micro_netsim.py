@@ -274,7 +274,7 @@ def packets_per_sec(count: int = 20_000) -> float:
 
 
 # ------------------------------------------------------------------ pipeline
-def pipeline_events_per_sec(count: int = 30_000, trusted: bool = False) -> float:
+def pipeline_events_per_sec(count: int = 30_000) -> float:
     """Dispatch-path throughput on the compiled delivery pipeline.
 
     Measures exactly the transmit → compiled pipeline → handler chain the
@@ -283,13 +283,8 @@ def pipeline_events_per_sec(count: int = 30_000, trusted: bool = False) -> float
     push) and one flat delivery (defrag bookkeeping, checksum verify, port
     demux, handler call).  Payload encode happens once outside the timed
     region — this is the *dispatch* gate, the codec gates are separate.
-
-    With ``trusted=True`` the link uses the opt-in trusted profile
-    (checksum verify and unfragmented defrag bookkeeping skipped),
-    quantifying what a trust-profiled deployment buys.
     """
-    from repro.netsim.datapath import LinkProfile
-    from repro.netsim.network import Link, Network
+    from repro.netsim.network import Network
     from repro.netsim.packet import IPv4Packet
     from repro.netsim.udp import UDPDatagram, encode_udp
 
@@ -298,8 +293,6 @@ def pipeline_events_per_sec(count: int = 30_000, trusted: bool = False) -> float
     src, dst = "192.0.2.1", "192.0.2.2"
     network.add_host("sender", src)
     receiver = network.add_host("receiver", dst)
-    if trusted:
-        network.set_link(src, dst, Link(latency=0.01, profile=LinkProfile.trusted()))
     received = [0]
 
     def on_datagram(payload: bytes, ip: str, port: int) -> None:
@@ -498,9 +491,6 @@ def run_micro_benchmarks(rounds: int = 5) -> dict:
         "pipeline_events_per_sec": round(
             _best_of(pipeline_events_per_sec, rounds)
         ),
-        "pipeline_trusted_events_per_sec": round(
-            _best_of(lambda: pipeline_events_per_sec(trusted=True), rounds)
-        ),
         "burst_events_per_sec": round(_best_of(burst_events_per_sec, rounds)),
         "limiter_burst_ops_per_sec": round(
             _best_of(limiter_burst_ops_per_sec, rounds)
@@ -550,20 +540,6 @@ def test_pipeline_dispatch_floor():
     the committed ``pipeline_events_per_sec``) is the tight check.
     """
     assert pipeline_events_per_sec(count=10_000) > 100_000
-
-
-def test_trusted_profile_not_slower_than_default():
-    """The trusted link profile strictly removes per-packet work.
-
-    Typical separation is ~1.3×; the asserted margin is small because both
-    rates are measured back-to-back and only a gross inversion would
-    indicate the trusted path regressed.
-    """
-    default_rate = _best_of(lambda: pipeline_events_per_sec(count=10_000), 3)
-    trusted_rate = _best_of(
-        lambda: pipeline_events_per_sec(count=10_000, trusted=True), 3
-    )
-    assert trusted_rate > default_rate * 1.05, (trusted_rate, default_rate)
 
 
 def test_dns_decode_fast_path_at_least_3x_pr1_baseline():

@@ -74,7 +74,6 @@ _MAX_TREND_BAND = 0.50
 THROUGHPUT_METRICS: tuple[tuple[str, ...], ...] = (
     ("microbenchmarks", "packets_per_sec"),
     ("microbenchmarks", "pipeline_events_per_sec"),
-    ("microbenchmarks", "pipeline_trusted_events_per_sec"),
     ("microbenchmarks", "dns_encode_ops_per_sec"),
     ("microbenchmarks", "dns_decode_ops_per_sec"),
     ("microbenchmarks", "dns_decode_cold_ops_per_sec"),
@@ -86,7 +85,6 @@ THROUGHPUT_METRICS: tuple[tuple[str, ...], ...] = (
     ("microbenchmarks", "burst_events_per_sec"),
     ("microbenchmarks", "limiter_burst_ops_per_sec"),
     ("experiments", "table2_ntpd_p1", "result", "events_per_wall_second"),
-    ("experiments", "table2_ntpd_p1_trusted", "result", "events_per_wall_second"),
     ("experiments", "population_fleet", "result", "clients_per_sec"),
 )
 
@@ -437,7 +435,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         refine_timing,
         run_end_to_end,
         run_population_fleet,
-        run_trusted_fabric,
     )
 
     print(f"running fresh benchmarks (best of {args.rounds})...", flush=True)
@@ -447,15 +444,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     # re-sampled after the micro suite (refine_timing) so one
     # host-scheduling stall cannot read as a false regression.
     end_to_end = run_end_to_end(max_workers=1)
-    trusted = run_trusted_fabric(1)
     population = run_population_fleet(1)
     micro = run_micro_benchmarks(rounds=args.rounds)
     refine_timing(end_to_end, "table2_runtime_attack", 1)
-    refine_timing(trusted, "table2_trusted_fabric", 1)
     fresh = {
         "experiments": {
             "table2_ntpd_p1": end_to_end,
-            "table2_ntpd_p1_trusted": trusted,
             "population_fleet": population,
         },
         "microbenchmarks": micro,

@@ -100,36 +100,6 @@ def run_end_to_end(max_workers: int | None, timing_rounds: int = 5) -> dict:
     return summary
 
 
-def run_trusted_fabric(max_workers: int | None, timing_rounds: int = 5) -> dict:
-    """The lab-internal fabric Table II variant (trusted victim↔upstream links).
-
-    Timing-only (best of ``timing_rounds`` uninstrumented runs, like the
-    default cell's headline number).  ``trusted_speedup`` — the end-to-end
-    wall-clock ratio against the default cell, i.e. what link trust
-    actually buys on a full Table II run (the microbench ratio only covers
-    dispatch) — is attached by :func:`attach_trusted_speedup` after both
-    cells' timings are final.
-    """
-    best, rounds_run = _best_timing_outcome(
-        "table2_trusted_fabric", max_workers, timing_rounds
-    )
-    if not best.ok:
-        return {"error": best.error}
-    return {
-        "timing_rounds": rounds_run,
-        "best_timing_wall_seconds": round(best.wall_time, 6),
-        "result": {
-            "success": best.result["success"],
-            "minutes": best.result["minutes"],
-            "shift": best.result["shift"],
-            "events_processed": best.result["events_processed"],
-            "events_per_wall_second": round(
-                best.result["events_processed"] / best.wall_time
-            ),
-        },
-    }
-
-
 def run_population_fleet(
     max_workers: int | None = None, timing_rounds: int = 3
 ) -> dict:
@@ -179,15 +149,6 @@ def run_population_fleet(
             ),
         },
     }
-
-
-def attach_trusted_speedup(trusted: dict, default_summary: dict) -> None:
-    """Record the trusted cell's end-to-end ratio against the default cell."""
-    default_rate = default_summary.get("result", {}).get("events_per_wall_second")
-    if default_rate and trusted.get("result"):
-        trusted["trusted_speedup"] = round(
-            trusted["result"]["events_per_wall_second"] / default_rate, 3
-        )
 
 
 def refine_timing(
@@ -262,10 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     end_to_end = run_end_to_end(args.workers)
     print(json.dumps(end_to_end, indent=2))
 
-    print("running trusted-fabric variant (lab-internal links)...", flush=True)
-    trusted = run_trusted_fabric(args.workers)
-    print(json.dumps(trusted, indent=2))
-
     print("running population fleet cell (64 clients, seed 7)...", flush=True)
     population = run_population_fleet(args.workers)
     print(json.dumps(population, indent=2))
@@ -279,17 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     # rates low (see refine_timing).
     print("re-sampling end-to-end timings...", flush=True)
     refine_timing(end_to_end, "table2_runtime_attack", args.workers)
-    refine_timing(trusted, "table2_trusted_fabric", args.workers)
-    attach_trusted_speedup(trusted, end_to_end)
-    print(
-        json.dumps(
-            {
-                "table2_ntpd_p1": end_to_end.get("result"),
-                "table2_ntpd_p1_trusted": trusted.get("result"),
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps({"table2_ntpd_p1": end_to_end.get("result")}, indent=2))
 
     # Gate BEFORE overwriting: a failing run must leave the committed
     # baseline intact, otherwise an immediate rerun would compare the fresh
@@ -299,7 +246,6 @@ def main(argv: list[str] | None = None) -> int:
             "microbenchmarks": micro,
             "experiments": {
                 "table2_ntpd_p1": end_to_end,
-                "table2_ntpd_p1_trusted": trusted,
                 "population_fleet": population,
             },
         }
@@ -320,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         microbenchmarks=micro,
         experiments={
             "table2_ntpd_p1": end_to_end,
-            "table2_ntpd_p1_trusted": trusted,
             "population_fleet": population,
         },
     )

@@ -385,13 +385,8 @@ class ExperimentRunner:
         A :class:`RetryPolicy`; ``None`` disables retries.  Failed runs of
         a kind in ``retry_on`` re-execute (scenarios are pure functions of
         their spec, so a retry that succeeds is indistinguishable from a
-        first-try success apart from ``RunOutcome.attempts``).
-    probation_width:
-        How many isolated single-worker pools re-run crash suspects
-        concurrently (the K of the K-way probation tier).  Defaults to
-        ``min(2, max_workers)``.  Suspects must run isolated for
-        definitive culprit attribution, but probation runs *alongside*
-        the main pool — a crash no longer serialises the sweep.
+        first-try success apart from ``RunOutcome.attempts``).  The
+        policy applies alike to serial and pool sweeps.
     sweep_timeout:
         Wall-clock budget in seconds for the whole sweep.  On expiry the
         sweep cancels gracefully: pools are killed, every finished
@@ -412,7 +407,6 @@ class ExperimentRunner:
         chunk_size: Optional[int] = None,
         run_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        probation_width: Optional[int] = None,
         sweep_timeout: Optional[float] = None,
         on_progress: Optional[Callable[[int, int], None]] = None,
         progress_interval: float = 0.0,
@@ -425,10 +419,6 @@ class ExperimentRunner:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
-        if probation_width is not None and probation_width < 1:
-            raise ValueError(
-                f"probation_width must be >= 1, got {probation_width}"
-            )
         if sweep_timeout is not None and sweep_timeout <= 0:
             raise ValueError(f"sweep_timeout must be > 0, got {sweep_timeout}")
         if progress_interval < 0:
@@ -438,9 +428,6 @@ class ExperimentRunner:
         self.chunk_size = chunk_size
         self.run_timeout = run_timeout
         self.retry = retry
-        self.probation_width = (
-            probation_width if probation_width is not None else min(2, max_workers)
-        )
         self.sweep_timeout = sweep_timeout
         self.on_progress = on_progress
         self.progress_interval = progress_interval
@@ -729,10 +716,10 @@ class _PoolEngine:
     Three tiers.  The **main pool** (width ``max_workers``) drains
     untouched chunks; when it breaks, every in-flight chunk is a crash
     suspect.  The **probation tier** re-runs suspects, each in its own
-    isolated single-worker pool (up to ``probation_width`` at once) so a
-    repeat crash has exactly one suspect — the definitive culprit fails
-    (or retries) with kind ``"worker-crash"`` — while the respawned main
-    pool keeps draining the rest of the sweep at full width.  Innocent
+    isolated single-worker pool (up to ``min(2, max_workers)`` at once)
+    so a repeat crash has exactly one suspect — the definitive culprit
+    fails (or retries) with kind ``"worker-crash"`` — while the respawned
+    main pool keeps draining the rest of the sweep at full width.  Innocent
     bystanders complete in probation and their pool is reused for the
     next suspect.  **Serial drain** in the driver is the last resort
     when no pool can start at all.
@@ -881,11 +868,12 @@ class _PoolEngine:
         return True
 
     def _fill_probation(self) -> None:
-        """Start suspects in isolated pools, up to ``probation_width``."""
+        """Start suspects in isolated pools, up to ``min(2, max_workers)``."""
         runner = self.runner
         if self.probation_unavailable:
             return
-        while self.quarantine and len(self.probation) < runner.probation_width:
+        width = min(2, runner.max_workers)
+        while self.quarantine and len(self.probation) < width:
             chunk = self.quarantine.popleft()
             pool = self._probation_pool()
             if pool is None:
@@ -941,11 +929,7 @@ class _PoolEngine:
         except Exception:  # worker-side dispatch failure
             self._fail(chunk, "worker-crash")
             return True
-        for (index, _spec), outcome in zip(chunk.items, outcomes):
-            outcome.attempts = chunk.attempt
-            self.runner._record(
-                index, outcome, self.results, self.writer, self.progress
-            )
+        self._settle(chunk, outcomes)
         return False
 
     def _finish_probation(self, future: Any) -> None:
@@ -963,12 +947,27 @@ class _PoolEngine:
             _kill_pool(pool)
             self._fail(chunk, "worker-crash")
             return
-        for (index, _spec), outcome in zip(chunk.items, outcomes):
+        self._settle(chunk, outcomes)
+        self.idle_probation.append(pool)
+
+    def _settle(self, chunk: _Chunk, outcomes: list[RunOutcome]) -> None:
+        """Record a finished chunk's outcomes; retryable failures requeue.
+
+        A run that failed inside the worker (``scenario-error``) goes back
+        through :meth:`_fail` as a one-spec chunk when the policy retries
+        its kind, exactly as the serial path re-executes it.
+        """
+        retry = self.runner.retry
+        for item, outcome in zip(chunk.items, outcomes):
+            if retry is not None and retry.should_retry(
+                outcome.error_kind, chunk.attempt
+            ):
+                self._fail(_Chunk((item,), chunk.attempt), outcome.error_kind)
+                continue
             outcome.attempts = chunk.attempt
             self.runner._record(
-                index, outcome, self.results, self.writer, self.progress
+                item[0], outcome, self.results, self.writer, self.progress
             )
-        self.idle_probation.append(pool)
 
     def _fail(self, chunk: _Chunk, kind: str) -> None:
         requeue = self.quarantine if kind == "worker-crash" else self.pending

@@ -15,14 +15,13 @@ the delivery side of the burst engine (the event-loop side lives in
   delivery events at one instant (``count`` sequence numbers, ``count``
   towards ``events_processed``) and drains them in one flat ``run()``:
 
-  1. **Vectorised checksum verify.**  Unfragmented UDP packets on
-     verifying links are stacked into one wire buffer and their RFC 768
+  1. **Vectorised checksum verify.**  Unfragmented UDP packets are
+     stacked into one wire buffer and their RFC 768
      checksums verified in a single numpy ``uint64`` word-sum pass —
      word-for-word the same fold as the scalar verify in
      :meth:`repro.netsim.datapath.HostDatapath.deliver` (pinned by the
      burst checksum property tests).  Heterogeneous bursts (mixed datagram
-     sizes, fragments, non-UDP, non-verifying links) fall back to the
-     per-packet scalar path.
+     sizes, fragments, non-UDP) fall back to the per-packet scalar path.
   2. **Pre-parsed dispatch.**  Verified packets skip the scalar header
      unpack/length/checksum work entirely and enter the datapath through
      :meth:`~repro.netsim.datapath.HostDatapath.deliver_parsed`, with the
@@ -55,10 +54,7 @@ bounded at ~6 MB even for MTU-sized floods.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - pinned by the numpy-absent suite
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.netsim.packet import IPProtocol
 from repro.netsim.sockets import ReceivedDatagram
@@ -162,15 +158,12 @@ class DeliveryBurst:
                         [pair[1] for pair in items[index:end]],
                         src_port,
                         dst_port,
-                        pipeline.burst_bookkeeping,
                     ):
                         index = end
                         continue
                     end = index + 1
             if timed:
-                datapath.deliver_parsed(
-                    packet, src_port, dst_port, pipeline.burst_bookkeeping
-                )
+                datapath.deliver_parsed(packet, src_port, dst_port)
                 index += 1
                 continue
             # Inlined HostDatapath.deliver_parsed (the method remains the
@@ -179,7 +172,7 @@ class DeliveryBurst:
             tap = datapath.host.packet_tap
             if tap is not None:
                 tap(packet)
-            if pipeline.burst_bookkeeping and datapath.defrag_buckets:
+            if datapath.defrag_buckets:
                 datapath.defrag.purge_expired(datapath.simulator._now)
             datapath.stats.udp_received += 1
             socket = datapath.sockets.get(dst_port)
@@ -217,7 +210,7 @@ class DeliveryBurst:
         length.
         """
         n = len(items)
-        if np is not None and n >= NUMPY_VERIFY_MIN:
+        if n >= NUMPY_VERIFY_MIN:
             parsed = DeliveryBurst._verify_stacked(items)
             if parsed is not None:
                 return parsed
@@ -243,9 +236,7 @@ class DeliveryBurst:
         for i, (pipeline, packet) in enumerate(items):
             # ``burst_parse`` bakes pre-parse eligibility at
             # pipeline-compile time, so eligibility costs one slot read
-            # plus the packet-shape checks; ``vector_verify`` adds the
-            # checksum fold only on pairs whose scalar path would verify
-            # (trusted links and non-verifying hosts parse without it).
+            # plus the packet-shape checks.
             if (
                 not pipeline.burst_parse
                 or packet.protocol is not _UDP
@@ -260,7 +251,7 @@ class DeliveryBurst:
             src_port, dst_port, length, checksum = unpack(data)
             if length != size:
                 continue
-            if checksum and pipeline.vector_verify:
+            if checksum:
                 payload = data[UDP_HEADER_LEN:]
                 if size & 1:
                     payload += b"\x00"
@@ -297,7 +288,6 @@ class DeliveryBurst:
         """
         datas: list[bytes] = []
         addr_sums: list[int] = []
-        verify_flags: list[bool] = []
         picked: list[int] = []
         size = -1
         for i, (pipeline, packet) in enumerate(items):
@@ -317,7 +307,6 @@ class DeliveryBurst:
                 return None  # heterogeneous: the flat pass handles it
             datas.append(data)
             addr_sums.append(pipeline.addr_sum)
-            verify_flags.append(pipeline.vector_verify)
             picked.append(i)
         count = len(datas)
         if count < 2:
@@ -337,15 +326,10 @@ class DeliveryBurst:
             np.asarray(addr_sums, dtype=np.int64) + 17 + length + totals - checksum
         ) % 0xFFFF
         # A zero checksum field means "not checksummed": accepted unverified,
-        # exactly as the scalar path's ``if checksum and ...`` guard does;
-        # rows whose pipeline does not verify (trusted links, non-verifying
-        # hosts) are accepted on the length check alone; 0xFFFF - folded is
-        # the complement with both RFC special cases already absorbed (see
-        # _verify_flat).
-        verify = np.asarray(verify_flags, dtype=bool)
-        ok = (length == size) & (
-            ~verify | (checksum == 0) | (checksum == 0xFFFF - folded)
-        )
+        # exactly as the scalar path's ``if checksum:`` guard does;
+        # 0xFFFF - folded is the complement with both RFC special cases
+        # already absorbed (see _verify_flat).
+        ok = (length == size) & ((checksum == 0) | (checksum == 0xFFFF - folded))
         src_ports = words[:, 0].tolist()
         dst_ports = words[:, 1].tolist()
         ok_list = ok.tolist()

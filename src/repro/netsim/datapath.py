@@ -19,14 +19,11 @@ link and cached:
   by :class:`~repro.netsim.network.Network`.  It carries the resolved link
   latency, loss probability and the destination's bound deliver callable,
   so the transmit hot path is a single dict hit plus a heap push.
-* :class:`LinkProfile` — opt-in *trust levels* per link.  The default
-  profile performs full verification.  A ``trusted`` link (e.g. a loopback
-  or lab-internal path the experimenter vouches for) skips UDP checksum
-  verification and defragmentation bookkeeping for unfragmented packets.
-  Trust is **off by default** — the golden fixed-seed results are produced
-  entirely on default-profile links — and never changes which packets are
-  delivered for well-formed traffic, only how much verification work the
-  simulator performs per packet.
+
+Every link runs the same verification: a delivered datagram with a
+non-zero UDP checksum is always verified (as on every host the paper
+measured — the fragment attack has to fix the checksum for that reason),
+and every unfragmented arrival sweeps expired reassembly buckets.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled,
 delivery routes through an instrumented twin that accumulates per-stage
@@ -66,59 +63,6 @@ _ICMP = IPProtocol.ICMP
 _UNPACK_UDP_HEADER = _UDP_HEADER.unpack_from
 
 
-class LinkProfile:
-    """Per-link trust level controlling which verification stages run.
-
-    ``verify_checksum``
-        Verify the UDP checksum of delivered datagrams (on top of the
-        receiving host's own ``OSProfile.verify_udp_checksum`` flag — a
-        host that skips verification keeps skipping it on any link).
-    ``defrag_bookkeeping``
-        Consult the defragmentation cache for *unfragmented* packets
-        (purging expired reassembly buckets on every arrival, as real
-        kernels do).  Fragmented packets always go through full
-        reassembly regardless of trust — trust cannot change what gets
-        delivered, only how much per-packet verification work runs.
-    """
-
-    __slots__ = ("name", "verify_checksum", "defrag_bookkeeping")
-
-    def __init__(
-        self,
-        name: str = "default",
-        verify_checksum: bool = True,
-        defrag_bookkeeping: bool = True,
-    ) -> None:
-        self.name = name
-        self.verify_checksum = verify_checksum
-        self.defrag_bookkeeping = defrag_bookkeeping
-
-    @classmethod
-    def default(cls) -> "LinkProfile":
-        """Full verification (the only profile the golden runs use)."""
-        return DEFAULT_LINK_PROFILE
-
-    @classmethod
-    def trusted(cls) -> "LinkProfile":
-        """Skip checksum verification and unfragmented-packet defrag work."""
-        return TRUSTED_LINK_PROFILE
-
-    @property
-    def is_default(self) -> bool:
-        """True when every verification stage is enabled."""
-        return self.verify_checksum and self.defrag_bookkeeping
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LinkProfile {self.name!r}>"
-
-
-#: Shared singletons: links reference profiles, they never mutate them.
-DEFAULT_LINK_PROFILE = LinkProfile("default")
-TRUSTED_LINK_PROFILE = LinkProfile(
-    "trusted", verify_checksum=False, defrag_bookkeeping=False
-)
-
-
 class DeliveryPipeline:
     """The compiled delivery plan for one (src, dst) address pair.
 
@@ -136,22 +80,15 @@ class DeliveryPipeline:
     the fault layer has into the hot path — one slot read per packet when
     inactive.
 
-    ``datapath``, ``burst_parse``, ``vector_verify``,
-    ``burst_bookkeeping`` and ``addr_sum`` exist for the burst engine
-    (:mod:`repro.netsim.burst`): a burst transmit needs to know which
-    compiled datapath stands behind ``deliver``, whether this pair may
-    take the pre-parsed burst delivery at all (``burst_parse`` — false for
-    unrouted pairs and for pairs whose scalar path would raise on an
-    unparseable spoofed source), whether the batched checksum pass must
-    run (``vector_verify`` — link profile *and* host OS profile both
-    verify; a trusted or non-verifying pair is parsed without it), whether
-    the pre-parsed delivery performs the defrag bookkeeping sweep (the
-    link profile's ``defrag_bookkeeping``), and the pair's pseudo-header
-    address word sum — all baked once per compiled pair, like the latency,
-    so the per-packet burst scan is attribute reads only.  Like every
-    other compiled field, they go stale if a host's OS profile is mutated
-    afterwards; :meth:`HostDatapath.recompile` invalidates the owning
-    network's pipelines for exactly that reason.
+    ``datapath``, ``burst_parse`` and ``addr_sum`` exist for the burst
+    engine (:mod:`repro.netsim.burst`): a burst transmit needs to know
+    which compiled datapath stands behind ``deliver``, whether this pair
+    may take the pre-parsed, batch-verified burst delivery at all
+    (``burst_parse`` — false for unrouted pairs and for pairs whose scalar
+    path would raise on an unparseable spoofed source), and the pair's
+    pseudo-header address word sum — all baked once per compiled pair,
+    like the latency, so the per-packet burst scan is attribute reads
+    only.
     """
 
     __slots__ = (
@@ -160,8 +97,6 @@ class DeliveryPipeline:
         "deliver",
         "datapath",
         "burst_parse",
-        "vector_verify",
-        "burst_bookkeeping",
         "addr_sum",
         "faults",
     )
@@ -173,8 +108,6 @@ class DeliveryPipeline:
         deliver,
         datapath: "Optional[HostDatapath]" = None,
         burst_parse: bool = False,
-        vector_verify: bool = False,
-        burst_bookkeeping: bool = True,
         addr_sum: int = 0,
         faults=None,
     ) -> None:
@@ -183,8 +116,6 @@ class DeliveryPipeline:
         self.deliver = deliver
         self.datapath = datapath
         self.burst_parse = burst_parse
-        self.vector_verify = vector_verify
-        self.burst_bookkeeping = burst_bookkeeping
         self.addr_sum = addr_sum
         self.faults = faults
 
@@ -212,7 +143,6 @@ class HostDatapath:
         "defrag_buckets",
         "sockets",
         "stats",
-        "verify_checksum",
         "drops_fragments",
         # Per-stage wall-time accumulators, merged into repro.perf.STAGES
         # snapshots while collection is enabled.
@@ -233,26 +163,18 @@ class HostDatapath:
         self.defrag_buckets = host.defrag._buckets  # friend access, see module doc
         self.sockets = host._sockets  # friend access, see module doc
         self.stats = host.stats
-        self.verify_checksum = host.profile.verify_udp_checksum
         self.drops_fragments = host.profile.drops_fragments
         self.t_defrag = self.t_checksum = self.t_demux = self.t_handler = 0.0
         self.n_defrag = self.n_checksum = self.n_demux = self.n_handler = 0
         STAGES.attach(self)
 
     def recompile(self) -> None:
-        """Re-read the host's profile flags (after an explicit mutation).
-
-        Also drops the network's compiled pipelines: they bake the
-        combined link+host verify decision for the burst engine, so a
-        profile mutation must force them to recompile too.
-        """
-        self.verify_checksum = self.host.profile.verify_udp_checksum
+        """Re-read the host's profile flags (after an explicit mutation)."""
         self.drops_fragments = self.host.profile.drops_fragments
-        self.host.network.invalidate_pipelines()
 
     # ----------------------------------------------------------- fast paths
     def deliver(self, packet: IPv4Packet) -> None:
-        """Full-verification delivery: the default-profile compiled chain.
+        """Full-verification delivery: the compiled receive chain.
 
         Byte-for-byte and counter-for-counter equivalent to the
         pre-refactor ``Host.receive`` → ``DefragmentationCache`` →
@@ -260,7 +182,7 @@ class HostDatapath:
         determinism test), flattened into one frame.
         """
         if STAGES.enabled:
-            return self._deliver_timed(packet, self.verify_checksum, True)
+            return self._deliver_timed(packet)
         host = self.host
         tap = host.packet_tap
         if tap is not None:
@@ -286,7 +208,7 @@ class HostDatapath:
             stats.udp_checksum_failures += 1
             return
         payload = data[UDP_HEADER_LEN:]
-        if checksum and self.verify_checksum:
+        if checksum:
             # Arithmetic verify, inlined and deliberately uncached: spoofing
             # sweeps present a new payload per packet, so a memo here would
             # pay hashing and eviction for a ~0% hit rate; the extra call
@@ -323,121 +245,30 @@ class HostDatapath:
                 ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
             )
 
-    def deliver_trusted(self, packet: IPv4Packet) -> None:
-        """Trusted-link delivery: no checksum verify, no unfragmented
-        defrag bookkeeping.  Fragmented packets still reassemble fully."""
-        if STAGES.enabled:
-            return self._deliver_timed(packet, False, False)
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if packet.protocol is not _UDP:
-            return self._deliver_other(packet)
-        if packet.more_fragments or packet.fragment_offset:
-            packet = self._reassemble(packet)
-            if packet is None:
-                return
-        stats = self.stats
-        data = packet.payload
-        size = len(data)
-        if size < UDP_HEADER_LEN:
-            stats.udp_checksum_failures += 1
-            return
-        src_port, dst_port, length, _checksum = _UNPACK_UDP_HEADER(data)
-        if length != size:
-            stats.udp_checksum_failures += 1
-            return
-        payload = data[UDP_HEADER_LEN:]
-        stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        handler = socket.on_datagram
-        if handler is not None:
-            handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-
-    def deliver_flex(self, packet: IPv4Packet, verify: bool, bookkeeping: bool) -> None:
-        """Generic delivery for mixed link profiles (one stage trusted,
-        the other not).  Exotic configurations only; not a hot path — but
-        it still honours the collection switch: timing runs only while
-        stage collection is enabled, like the canonical paths."""
-        verify = verify and self.verify_checksum
-        if STAGES.enabled:
-            return self._deliver_timed(packet, verify, bookkeeping)
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if packet.protocol is not _UDP:
-            return self._deliver_other(packet)
-        if packet.more_fragments or packet.fragment_offset:
-            packet = self._reassemble(packet)
-            if packet is None:
-                return
-        elif bookkeeping and self.defrag_buckets:
-            self.defrag.purge_expired(self.simulator._now)
-        stats = self.stats
-        data = packet.payload
-        size = len(data)
-        if size < UDP_HEADER_LEN:
-            stats.udp_checksum_failures += 1
-            return
-        src_port, dst_port, length, checksum = _UNPACK_UDP_HEADER(data)
-        if length != size:
-            stats.udp_checksum_failures += 1
-            return
-        payload = data[UDP_HEADER_LEN:]
-        if checksum and verify:
-            if checksum != udp_checksum_arith(
-                packet.src, packet.dst, src_port, dst_port, payload
-            ):
-                stats.udp_checksum_failures += 1
-                return
-        stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        handler = socket.on_datagram
-        if handler is not None:
-            handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-
     # -------------------------------------------------------- burst entries
     def deliver_parsed(
         self,
         packet: IPv4Packet,
         src_port: int,
         dst_port: int,
-        bookkeeping: bool = True,
     ) -> None:
         """Delivery of a packet the burst engine already parsed and verified.
 
         Called by :class:`~repro.netsim.burst.DeliveryBurst` for
         unfragmented UDP packets whose header fields came out of the
-        batched word-sum pass and whose checksum that pass accepted (or
-        that the link/host profile does not verify at all): header unpack,
-        length checks and the scalar checksum arithmetic are all skipped.
-        ``bookkeeping`` carries the link profile's ``defrag_bookkeeping``
-        bit, so trusted links keep skipping the reassembly sweep exactly
-        as :meth:`deliver_trusted` does.  The remaining semantics — tap,
-        stats, port demux, handler/inbox — are exactly those of the
-        profile's scalar path (pinned by the burst property tests).
+        batched word-sum pass and whose checksum that pass accepted:
+        header unpack, length checks and the scalar checksum arithmetic
+        are all skipped.  The remaining semantics — tap, defrag sweep,
+        stats, port demux, handler/inbox — are exactly those of
+        :meth:`deliver` (pinned by the burst property tests).
         """
         if STAGES.enabled:
-            return self._deliver_parsed_timed(packet, src_port, dst_port, bookkeeping)
+            return self._deliver_parsed_timed(packet, src_port, dst_port)
         host = self.host
         tap = host.packet_tap
         if tap is not None:
             tap(packet)
-        if bookkeeping and self.defrag_buckets:
+        if self.defrag_buckets:
             self.defrag.purge_expired(self.simulator._now)
         self.stats.udp_received += 1
         socket = self.sockets.get(dst_port)
@@ -457,7 +288,6 @@ class HostDatapath:
         packets: list,
         src_port: int,
         dst_port: int,
-        bookkeeping: bool = True,
     ) -> bool:
         """Hand a consecutive run of pre-verified same-source datagrams to
         the destination socket's burst handler as one call.
@@ -488,7 +318,7 @@ class HostDatapath:
             # No burst handler — or an inbox-mode socket, whose datagrams
             # must queue individually exactly as per-packet delivery would.
             return False
-        if bookkeeping and self.defrag_buckets:
+        if self.defrag_buckets:
             # Idempotent at a fixed instant: the N-th sweep of a sequential
             # delivery removes nothing the first did not.
             self.defrag.purge_expired(self.simulator._now)
@@ -498,7 +328,7 @@ class HostDatapath:
         return True
 
     def _deliver_parsed_timed(
-        self, packet: IPv4Packet, src_port: int, dst_port: int, bookkeeping: bool
+        self, packet: IPv4Packet, src_port: int, dst_port: int
     ) -> None:
         """Stage-attributing twin of :meth:`deliver_parsed`.
 
@@ -513,7 +343,7 @@ class HostDatapath:
         if tap is not None:
             tap(packet)
         t0 = perf_counter()
-        if bookkeeping and self.defrag_buckets:
+        if self.defrag_buckets:
             self.defrag.purge_expired(self.simulator._now)
         t1 = perf_counter()
         self.t_defrag += t1 - t0
@@ -564,8 +394,8 @@ class HostDatapath:
         self.defrag.add_fragment(packet, self.simulator._now)
 
     # -------------------------------------------------------- instrumented
-    def _deliver_timed(self, packet: IPv4Packet, verify: bool, bookkeeping: bool) -> None:
-        """The stage-attributing twin of the fast paths.
+    def _deliver_timed(self, packet: IPv4Packet) -> None:
+        """The stage-attributing twin of :meth:`deliver`.
 
         Accumulates per-stage wall time into slots (merged into
         ``STAGES`` snapshots via :meth:`collect_into`).  Only runs while
@@ -587,7 +417,7 @@ class HostDatapath:
             if packet is None:
                 return
         else:
-            if bookkeeping and self.defrag_buckets:
+            if self.defrag_buckets:
                 self.defrag.purge_expired(self.simulator._now)
             t1 = perf_counter()
             self.t_defrag += t1 - t0
@@ -601,7 +431,7 @@ class HostDatapath:
             ok = length == size
         if ok:
             payload = data[UDP_HEADER_LEN:]
-            if checksum and verify:
+            if checksum:
                 ok = checksum == udp_checksum_arith(
                     packet.src, packet.dst, src_port, dst_port, payload
                 )
@@ -656,22 +486,3 @@ class HostDatapath:
         self.t_defrag = self.t_checksum = self.t_demux = self.t_handler = 0.0
         self.n_defrag = self.n_checksum = self.n_demux = self.n_handler = 0
 
-
-def compile_deliver(datapath: HostDatapath, profile: LinkProfile):
-    """Pick the delivery entry point for one link profile.
-
-    The two canonical profiles get the dedicated flat paths; mixed
-    profiles (one stage trusted, the other not) fall back to the generic
-    flexible path via a small binding closure.
-    """
-    if profile.verify_checksum and profile.defrag_bookkeeping:
-        return datapath.deliver
-    if not profile.verify_checksum and not profile.defrag_bookkeeping:
-        return datapath.deliver_trusted
-    verify = profile.verify_checksum
-    bookkeeping = profile.defrag_bookkeeping
-
-    def deliver_mixed(packet: IPv4Packet) -> None:
-        datapath.deliver_flex(packet, verify, bookkeeping)
-
-    return deliver_mixed

@@ -19,8 +19,7 @@ success against fault regimes while staying bit-for-bit reproducible:
   they travel the normal delivery path and must be caught by the real
   UDP checksum verify (scalar or batched burst verify), where they count
   as derived ``udp_checksum_failures`` exactly like any other damaged
-  datagram.  On links/hosts that skip verification the corruption is
-  delivered — trust means trusting the fabric.
+  datagram.
 * :class:`Partition` — a scheduled blackhole window ``[start, start +
   duration)`` after which the link heals; every packet inside the window
   is dropped deterministically.
@@ -149,9 +148,8 @@ class Corruption:
     detectable by the RFC 768 checksum — header-only payloads flip
     within the header instead.  Detection is left entirely to the real
     delivery paths: the scalar verify and the batched burst verify both
-    reject the packet and count a derived ``udp_checksum_failures``;
-    non-verifying links and hosts deliver the damage.  Empty payloads
-    pass through untouched.
+    reject the packet and count a derived ``udp_checksum_failures``.
+    Empty payloads pass through untouched.
     """
 
     probability: float = 0.0

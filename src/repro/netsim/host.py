@@ -44,7 +44,6 @@ class OSProfile:
     validates_icmp_payload: bool = False
     min_pmtu: int = 68
     reassembly_policy: ReassemblyPolicy = ReassemblyPolicy.FIRST_WINS
-    verify_udp_checksum: bool = True
     drops_fragments: bool = False
 
     @classmethod

@@ -15,9 +15,8 @@ model of the paper:
 Delivery runs through pipelines compiled per (src, dst) pair (see
 :mod:`repro.netsim.datapath`): the transmit hot path is one dict hit that
 yields the resolved latency, loss probability and the destination host's
-flat deliver callable, then a single heap push.  Links carry an optional
-:class:`~repro.netsim.datapath.LinkProfile` trust level; the default profile
-performs full verification and is what every golden fixed-seed run uses.
+flat deliver callable, then a single heap push.  Every link delivers
+through the same fully verifying datapath.
 """
 
 from __future__ import annotations
@@ -28,13 +27,7 @@ from typing import Iterable, Optional
 
 from repro.netsim.burst import DeliveryBurst, MAX_DELIVERY_BURST
 from repro.netsim.capture import PacketCapture
-from repro.netsim.datapath import (
-    DEFAULT_LINK_PROFILE,
-    DeliveryPipeline,
-    LinkProfile,
-    UNROUTED_PIPELINE,
-    compile_deliver,
-)
+from repro.netsim.datapath import DeliveryPipeline, UNROUTED_PIPELINE
 from repro.netsim.errors import AddressError, NoRouteError, SimulationError
 from repro.netsim.faults import FaultChannel, FaultPlan, FaultStats
 from repro.netsim.host import Host, OSProfile
@@ -58,9 +51,6 @@ class Link:
     latency: float = 0.01
     loss_probability: float = 0.0
     mtu: int = 1500
-    #: Optional trust level; ``None`` means the default (full verification)
-    #: profile.  See :class:`repro.netsim.datapath.LinkProfile`.
-    profile: Optional[LinkProfile] = None
     #: Optional fault plan; ``None`` (or an inert plan, normalised to
     #: ``None`` by :meth:`Network.set_link_faults`) keeps the exact
     #: fault-free fast paths.  See :mod:`repro.netsim.faults`.
@@ -70,9 +60,6 @@ class Link:
 #: Bound on the per-(src, dst) compiled-pipeline cache; src is attacker
 #: controlled (spoofed), so the cache is cleared wholesale when full.
 PIPELINE_CACHE_MAX_ENTRIES = 65536
-
-#: Backwards-compatible alias (the pipeline cache replaced the link cache).
-LINK_CACHE_MAX_ENTRIES = PIPELINE_CACHE_MAX_ENTRIES
 
 
 class Network:
@@ -176,33 +163,13 @@ class Network:
         """The link used between two addresses (default if not overridden)."""
         return self._links.get(frozenset((ip_a, ip_b)), self.default_link)
 
-    def trust_link(self, ip_a: str, ip_b: str) -> None:
-        """Mark the link between two addresses as trusted (opt-in fast path).
-
-        Keeps the current latency/loss/MTU and swaps the profile for
-        :meth:`LinkProfile.trusted`, which skips UDP checksum verification
-        and unfragmented-packet defrag bookkeeping on delivery.
-        """
-        current = self.link_between(ip_a, ip_b)
-        self.set_link(
-            ip_a,
-            ip_b,
-            Link(
-                latency=current.latency,
-                loss_probability=current.loss_probability,
-                mtu=current.mtu,
-                profile=LinkProfile.trusted(),
-                faults=current.faults,
-            ),
-        )
-
     # --------------------------------------------------------------- faults
     def set_link_faults(self, ip_a: str, ip_b: str, *components) -> FaultPlan:
         """Attach fault components to the link between two addresses.
 
         Accepts either loose components (composed into a
         :class:`~repro.netsim.faults.FaultPlan` here) or one pre-built
-        plan.  Keeps the link's latency/loss/MTU/profile and swaps in the
+        plan.  Keeps the link's latency/loss/MTU and swaps in the
         plan; an inert plan (every component zero-rate — including the
         empty call, which clears faults) is normalised to ``None`` so the
         link keeps the exact fault-free fast paths.  Replacing an active
@@ -221,7 +188,6 @@ class Network:
                 latency=current.latency,
                 loss_probability=current.loss_probability,
                 mtu=current.mtu,
-                profile=current.profile,
                 faults=None if plan.is_inert else plan,
             ),
         )
@@ -343,7 +309,7 @@ class Network:
         return pipeline
 
     def _compile_pipeline(self, src: str, dst: str) -> DeliveryPipeline:
-        """Resolve host, link and trust profile into one cached pipeline."""
+        """Resolve host and link into one cached pipeline."""
         host = self._hosts.get(dst)
         if host is None:
             pipeline = UNROUTED_PIPELINE
@@ -351,25 +317,18 @@ class Network:
             link = self.link_between(src, dst)
             if link.latency < 0:
                 raise SimulationError(f"negative link latency: {link.latency}")
-            profile = link.profile or DEFAULT_LINK_PROFILE
-            # Would this pair's scalar path verify checksums at all?  Only
-            # then does the burst engine need a pseudo-header sum — and
-            # ``src`` is whatever the sender claims, so a syntactically
-            # invalid spoofed source cannot bake one; such pairs keep the
-            # scalar verify path (which reports the same failure it always
-            # did, at delivery time rather than here).
-            vector_verify = profile.verify_checksum and host.datapath.verify_checksum
+            # The burst engine's batched verify needs the pair's
+            # pseudo-header sum — and ``src`` is whatever the sender
+            # claims, so a syntactically invalid spoofed source cannot bake
+            # one.  The scalar path raises on such a source at delivery
+            # time (when a checksummed packet arrives); keep the pair off
+            # the pre-parsed path so it still does.
             burst_parse = True
             addr_sum = 0
-            if vector_verify:
-                try:
-                    addr_sum = _address_word_sum(src) + _address_word_sum(dst)
-                except AddressError:
-                    # The scalar path raises on this source at delivery
-                    # time (when a checksummed packet arrives); keep the
-                    # pair off the pre-parsed path so it still does.
-                    vector_verify = False
-                    burst_parse = False
+            try:
+                addr_sum = _address_word_sum(src) + _address_word_sum(dst)
+            except AddressError:
+                burst_parse = False
             channel = None
             plan = link.faults
             if plan is not None:
@@ -394,11 +353,9 @@ class Network:
             pipeline = DeliveryPipeline(
                 link.latency,
                 link.loss_probability,
-                compile_deliver(host.datapath, profile),
+                host.datapath.deliver,
                 datapath=host.datapath,
                 burst_parse=burst_parse,
-                vector_verify=vector_verify,
-                burst_bookkeeping=profile.defrag_bookkeeping,
                 addr_sum=addr_sum,
                 faults=channel,
             )

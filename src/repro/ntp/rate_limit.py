@@ -21,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - pinned by the numpy-absent suite
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 class RateLimitDecision(Enum):
@@ -228,17 +225,10 @@ class RateLimiter:
         not a drop-in for the per-packet path.
 
         ``times`` must be non-decreasing and ``average_interval``
-        non-negative.  Without numpy installed a pure-python twin of the
-        running-max algebra runs instead — same float operations in the
-        same order, so the two backends are bit-identical (pinned by the
-        numpy-absent suite).
+        non-negative.
         """
-        if np is not None:
-            times = np.asarray(times, dtype=np.float64)
-            n = int(times.size)
-        else:
-            times = [float(value) for value in times]
-            n = len(times)
+        times = np.asarray(times, dtype=np.float64)
+        n = int(times.size)
         if n == 0:
             return []
         cost = self.average_interval
@@ -246,14 +236,8 @@ class RateLimiter:
             raise ValueError(
                 f"consume_times requires average_interval >= 0, got {cost}"
             )
-        if n > 1:
-            if np is not None:
-                if bool(np.any(np.diff(times) < 0.0)):
-                    raise ValueError(
-                        "consume_times requires non-decreasing arrival times"
-                    )
-            elif any(b < a for a, b in zip(times, times[1:])):
-                raise ValueError("consume_times requires non-decreasing arrival times")
+        if n > 1 and bool(np.any(np.diff(times) < 0.0)):
+            raise ValueError("consume_times requires non-decreasing arrival times")
         self.queries_seen += n
         if not self.enabled:
             return [RateLimitDecision.RESPOND] * n
@@ -267,33 +251,15 @@ class RateLimiter:
         anchor = min(state.last_seen, float(times[0]))
         seed = state.score + anchor
         tolerance = self.burst_tolerance
-        if np is not None:
-            k = np.arange(n, dtype=np.float64)
-            # v_k = max(v_init, max_{j<=k}(t_j - j·cost)); the j-term
-            # encodes a bucket that drained to empty just before arrival j,
-            # the seed term the bucket carried over from the previous state.
-            v = np.maximum.accumulate(np.maximum(times - k * cost, seed))
-            scores = v - times + (k + 1.0) * cost
-            denied_mask = (scores > tolerance).tolist()
-            denied = sum(denied_mask)
-            last_score = float(scores[-1])
-        else:
-            # Pure-python twin: identical IEEE op sequence per element
-            # (t - k·cost, running max, (v - t) + (k+1)·cost), so scores
-            # match the vectorised backend bit-for-bit.
-            denied_mask = []
-            denied = 0
-            v = seed
-            last_score = 0.0
-            for index, t in enumerate(times):
-                candidate = t - index * cost
-                if candidate > v:
-                    v = candidate
-                last_score = (v - t) + (index + 1.0) * cost
-                is_denied = last_score > tolerance
-                denied_mask.append(is_denied)
-                if is_denied:
-                    denied += 1
+        k = np.arange(n, dtype=np.float64)
+        # v_k = max(v_init, max_{j<=k}(t_j - j·cost)); the j-term encodes a
+        # bucket that drained to empty just before arrival j, the seed term
+        # the bucket carried over from the previous state.
+        v = np.maximum.accumulate(np.maximum(times - k * cost, seed))
+        scores = v - times + (k + 1.0) * cost
+        denied_mask = (scores > tolerance).tolist()
+        denied = sum(denied_mask)
+        last_score = float(scores[-1])
         state.score = last_score
         state.last_seen = float(times[-1])
         if denied == 0:

@@ -176,6 +176,33 @@ class TestSerialRetry:
         assert not outcome.ok and outcome.attempts == 1
 
 
+class TestRetryInEveryMode:
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            dict(max_workers=1),
+            dict(max_workers=2),
+            dict(max_workers=1, run_timeout=30.0),
+        ],
+        ids=["serial", "pool", "timed-one-worker-pool"],
+    )
+    def test_scenario_error_retried_in_every_mode(self, mode):
+        runner = ExperimentRunner(
+            retry=RetryPolicy(
+                max_attempts=3, backoff_base=0.0, retry_on=("scenario-error",)
+            ),
+            **mode,
+        )
+        failed, square = runner.run(
+            [RunSpec.make("no_such_scenario"), RunSpec.make("_test_res_square", x=3)]
+        )
+        expected_mode = "serial" if mode == dict(max_workers=1) else "processes"
+        assert runner.last_execution_mode.startswith(expected_mode)
+        assert failed.error_kind == "scenario-error"
+        assert failed.attempts == 3
+        assert square.ok and square.result == 9 and square.attempts == 1
+
+
 class TestWorkerCrash:
     def test_crash_is_typed_and_pool_recovers(self):
         specs = [

@@ -6,7 +6,7 @@ import pytest
 
 from repro.netsim.errors import SimulationError
 from repro.netsim.network import Network
-from repro.netsim.packet import IPProtocol, IPv4Packet
+from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.udp import UDPDatagram, encode_udp
 from repro.ntp.packet import NTPPacket, NTP_PORT
@@ -350,75 +350,3 @@ class TestFloodThroughBurstEngine:
             )
 
         assert run_flood(True) == run_flood(False)
-
-    def test_trusted_link_flood_still_takes_burst_handler(self):
-        """Trusted links parse without the checksum pass — they must not
-        fall off the burst engine (a trusted packet is the *cheapest* to
-        pre-parse), and they must keep skipping the defrag sweep exactly
-        like deliver_trusted."""
-
-        def run_flood(use_burst: bool):
-            sim = Simulator(seed=6)
-            network = Network(sim)
-            network.add_host("victim", "192.0.2.50")
-            host = network.add_host("server", "203.0.113.9")
-            network.trust_link("192.0.2.50", "203.0.113.9")
-            server = NTPServer(
-                host,
-                sim,
-                config=NTPServerConfig(
-                    rate_limiting=True, send_kod=True, burst_tolerance=24.0
-                ),
-            )
-            burst_calls = []
-            inner = server.socket.on_datagram_burst
-
-            def counting_burst(payloads, src_ip, src_port):
-                burst_calls.append(len(payloads))
-                inner(payloads, src_ip, src_port)
-
-            server.socket.on_datagram_burst = counting_burst
-            # A pending reassembly bucket: the trusted path must NOT sweep
-            # it on unfragmented arrivals (deliver_trusted semantics).
-            fragment = IPv4Packet(
-                src="192.0.2.50",
-                dst="203.0.113.9",
-                protocol=IPProtocol.UDP,
-                payload=b"\x00" * 16,
-                ipid=999,
-                more_fragments=True,
-            )
-            host.defrag.add_fragment(fragment, sim.now)
-            wire = NTPPacket.client_query_wire(sim.now)
-            payload = encode_udp(
-                "192.0.2.50", "203.0.113.9", UDPDatagram(NTP_PORT, NTP_PORT, wire)
-            )
-            packets = [
-                IPv4Packet.udp("192.0.2.50", "203.0.113.9", payload, i)
-                for i in range(12)
-            ]
-            if use_burst:
-                network.transmit_burst(packets)
-            else:
-                for packet in packets:
-                    network.transmit(packet)
-            sim.advance(40.0)  # well past the reassembly timeout
-            return (
-                server.stats.queries_received,
-                server.stats.responses_sent,
-                server.stats.kods_sent,
-                server.stats.queries_dropped,
-                host.stats.udp_received,
-                len(host.defrag._buckets),  # trusted: bucket never swept
-                burst_calls,
-            )
-
-        burst_outcome = run_flood(True)
-        singular_outcome = run_flood(False)
-        # The burst path used the burst handler exactly once, for all 12.
-        assert burst_outcome[-1] == [12]
-        assert singular_outcome[-1] == []
-        # Everything else — including the unswept reassembly bucket — is
-        # identical to singular trusted delivery.
-        assert burst_outcome[:-1] == singular_outcome[:-1]
-        assert burst_outcome[-2] == 1  # the stale bucket survived

@@ -153,15 +153,6 @@ class TestChecksumEnforcement:
         sim.run()
         assert received == [b"forged response"]
 
-    def test_verification_disabled_by_profile(self):
-        profile = OSProfile(name="lax", verify_udp_checksum=False)
-        sim, net, sender, receiver = build_pair(profile=profile)
-        received = []
-        receiver.bind(53, lambda payload, ip, port: received.append(payload))
-        net.inject(self._spoofed_packet("9.9.9.9", "10.0.0.1"))
-        sim.run()
-        assert received == [b"forged response"]
-
 
 class TestProfiles:
     def test_linux_profile_defaults(self):

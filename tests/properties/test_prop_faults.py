@@ -220,35 +220,3 @@ class TestConservationLaws:
         )
         assert result["partition_dropped"] == 8  # sends at 2.0 .. 3.75
         assert result["delivered"] == 32
-
-
-class TestTrustedFabricInteraction:
-    def test_trusted_link_delivers_corruption(self):
-        """Trust means trusting the fabric: no verify, damage delivered."""
-        from repro.netsim import Network, PacketCapture, Simulator
-
-        simulator = Simulator(seed=3, strict=True)
-        network = Network(simulator)
-        network.add_host("a", "10.0.0.1")
-        receiver = network.add_host("b", "10.0.0.2")
-        delivered = []
-        receiver.bind(
-            53, on_datagram=lambda payload, src, port: delivered.append(payload)
-        )
-        network.set_link_faults("10.0.0.1", "10.0.0.2", Corruption(1.0))
-        network.trust_link("10.0.0.1", "10.0.0.2")  # must keep the faults
-        capture = PacketCapture()
-        network.attach_capture(capture)
-        source = network.host("10.0.0.1").bind(0)
-        for index in range(10):
-            source.sendto(b"payload-%02d" % index, "10.0.0.2", 53)
-        simulator.run()
-        assert len(delivered) == 10
-        assert receiver.stats.udp_checksum_failures == 0
-        # Every delivery really was corrupted — and got through.
-        assert all(
-            captured.packet.metadata.get("corrupted") for captured in capture.packets
-        )
-        assert sorted(delivered) != sorted(
-            b"payload-%02d" % index for index in range(10)
-        )
