@@ -9,6 +9,8 @@ component/plan/channel mechanics and the network wiring.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import (
     Corruption,
@@ -25,11 +27,103 @@ from repro.netsim import (
 from repro.netsim.errors import FaultConfigError, InvariantViolation
 from repro.netsim.packet import IPv4Packet
 from repro.netsim.udp import UDP_HEADER_LEN
+from repro.perf import STAGES
 
 
 def make_packet(body: bytes = b"x" * 24) -> IPv4Packet:
     payload = b"\x00" * UDP_HEADER_LEN + body
     return IPv4Packet.udp("10.0.0.1", "10.0.0.2", payload, 7)
+
+
+class _TaggedBurst:
+    """``count`` same-instant firings packed into one burst heap entry."""
+
+    def __init__(self, fired: list, tag: int, count: int) -> None:
+        self.fired = fired
+        self.tag = tag
+        self.count = count
+
+    def run(self) -> None:
+        for member in range(self.count):
+            self.fired.append((self.tag, member))
+
+
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+_SCHEDULE_OPS = st.tuples(
+    st.sampled_from(
+        ["schedule", "post", "burst", "cancel", "cancel_in_run", "spawn", "send"]
+    ),
+    _DELAYS,
+    st.integers(0, 7),
+)
+_SEGMENT_BOUNDS = st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 2.5, 4.0]), max_size=4
+).map(sorted)
+
+
+def _replay(ops, bounds, mode: str) -> list:
+    """Build the schedule ``ops`` and run it in segments under ``mode``.
+
+    Returns one ``(processed, fired, events_processed, pending, now)``
+    row per segment; the last segment is an unbounded ``run()``.
+    """
+    simulator = Simulator(seed=2, strict=mode == "strict")
+    network = Network(simulator)
+    network.add_host("a", "10.0.0.1")
+    fired: list = []
+    network.add_host("b", "10.0.0.2").bind(
+        53, on_datagram=lambda payload, src, port: fired.append(payload)
+    )
+    source = network.host("10.0.0.1").bind(0)
+    events = []
+
+    def spawn(tag: int) -> None:
+        fired.append(tag)
+        simulator.post(0.0, fired.append, ("child", tag))
+
+    def send(tag: int) -> None:
+        source.sendto(b"m%d" % tag, "10.0.0.2", 53)
+
+    for tag, (kind, delay, pick) in enumerate(ops):
+        if kind == "schedule":
+            events.append(simulator.schedule(delay, fired.append, args=(tag,)))
+        elif kind == "post":
+            simulator.post(delay, fired.append, tag)
+        elif kind == "burst":
+            simulator.post_burst_entry(delay, _TaggedBurst(fired, tag, pick + 1))
+        elif kind == "cancel":
+            if events:
+                events[pick % len(events)].cancel()
+        elif kind == "cancel_in_run":
+            if events:
+                simulator.schedule(delay, events[pick % len(events)].cancel)
+        elif kind == "spawn":
+            simulator.post(delay, spawn, tag)
+        else:
+            simulator.post(delay, send, tag)
+
+    max_events = 10**9 if mode == "max_events" else None
+    trace = []
+    if mode == "stages":
+        STAGES.reset()
+        STAGES.enable()
+    try:
+        for bound in [*bounds, None]:
+            processed = simulator.run(until=bound, max_events=max_events)
+            trace.append(
+                (
+                    processed,
+                    list(fired),
+                    simulator.events_processed,
+                    simulator.pending(),
+                    simulator.now,
+                )
+            )
+    finally:
+        if mode == "stages":
+            STAGES.disable()
+            STAGES.reset()
+    return trace
 
 
 class TestComponents:
@@ -272,26 +366,22 @@ class TestNetworkWiring:
 
 
 class TestStrictSimulator:
-    def test_strict_run_matches_default_run(self):
-        def world(strict: bool):
-            simulator = Simulator(seed=2, strict=strict)
-            network = Network(simulator)
-            network.add_host("a", "10.0.0.1")
-            received = []
-            network.add_host("b", "10.0.0.2").bind(
-                53, on_datagram=lambda payload, src, port: received.append(payload)
-            )
-            source = network.host("10.0.0.1").bind(0)
+    @given(st.lists(_SCHEDULE_OPS, min_size=1, max_size=30), _SEGMENT_BOUNDS)
+    @settings(max_examples=120, deadline=None)
+    def test_strict_run_matches_default_run(self, ops, bounds):
+        """Every dispatch mode fires the same schedule identically.
 
-            def send(i: int) -> None:
-                source.sendto(b"m%d" % i, "10.0.0.2", 53)
-
-            for index in range(20):
-                simulator.post(index * 0.1, send, index)
-            processed = simulator.run()
-            return processed, simulator.now, simulator.events_processed, received
-
-        assert world(True) == world(False)
+        One random schedule (cancellable events, anonymous posts, burst
+        entries, cancellations before and during the run, same-instant
+        children, network deliveries) replayed in ``run(until=t)``
+        segments and a final unbounded ``run()`` under the fast loop,
+        stage timing, ``strict=True`` and a ``max_events`` cap that is
+        never reached: after every segment the firing order,
+        ``events_processed``, ``pending()`` and ``now`` agree.
+        """
+        fast = _replay(ops, bounds, "fast")
+        for mode in ("stages", "strict", "max_events"):
+            assert _replay(ops, bounds, mode) == fast, mode
 
     def test_check_invariants_passes_after_clean_run(self):
         simulator = Simulator(seed=0, strict=True)
