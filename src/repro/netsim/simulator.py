@@ -6,12 +6,11 @@ callbacks on the same virtual clock.  Time is a float measured in seconds.
 
 The event loop is deliberately small and tuned for throughput.  The heap
 holds plain tuples so that ordering comparisons run at C speed inside
-:mod:`heapq` (floats and ints, never ``Event`` objects); two entry shapes
+:mod:`heapq` (floats and ints, never ``Event`` objects); three entry shapes
 coexist:
 
 * ``(time, sequence, event, _EVENT)`` — cancellable events returned by
-  :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.  ``Event`` is a
-  ``__slots__`` class rather than a dataclass so creating one costs a single
+  :meth:`Simulator.schedule`.  ``Event`` is a ``__slots__`` class rather than a dataclass so creating one costs a single
   small allocation.
 * ``(time, sequence, callback, arg)`` — anonymous fire-and-forget events
   created by :meth:`Simulator.post`, carrying zero or one callback argument
@@ -19,7 +18,7 @@ coexist:
   ``Event`` allocation entirely and exist for the per-packet delivery path,
   which schedules millions of events per experiment and never cancels one.
 * ``(time, sequence, burst, _BURST)`` — *burst* entries created by
-  :meth:`Simulator.post_burst` (or pushed directly by the network's
+  :meth:`Simulator.post_burst_entry` (or pushed directly by the network's
   burst transmit path).  One heap entry stands for ``burst.count``
   logical events firing at the same instant: the entry consumes ``count``
   contiguous sequence numbers at creation and counts ``count`` towards
@@ -27,7 +26,7 @@ coexist:
   costs one heap push and one pop instead of N — while remaining
   event-for-event equivalent (ordering, counters, :meth:`pending`) to N
   singular posts.  Bursts are atomic: ``run(max_events=...)`` never splits
-  one, and :meth:`step` executes a whole burst as one step.
+  one.
 
 The fourth element doubles as the discriminator (identity-compared
 sentinels), so the dispatch loop needs pointer comparisons, not isinstance
@@ -41,13 +40,19 @@ is allocated atomically.  All randomness in the simulation flows through
 the simulator's seeded ``numpy.random.Generator`` so runs are reproducible
 bit-for-bit.
 
-The bounded loops additionally drain contiguous *equal-timestamp* runs
-through a coalesced inner loop: once the head event at time ``t`` passed
-the ``until`` bound, every further entry at exactly ``t`` is popped and
-dispatched without re-checking the bound or re-writing the clock.
-Cancelled events popped inside a coalesced run are skipped without
-touching ``events_processed`` (their cancellation was already counted by
-:meth:`Event.cancel`), so :meth:`Simulator.pending` stays exact.
+:meth:`Simulator.run` has two loop bodies.  The *fast loop* serves every
+plain ``run(until=...)`` and ``run()`` (an unbounded run is a run to
+``+inf`` that leaves the clock at the last event).  It drains contiguous
+*equal-timestamp* runs through a coalesced inner loop: once the head
+event at time ``t`` passed the bound, every further entry at exactly
+``t`` is popped and dispatched without re-checking the bound or
+re-writing the clock.  Cancelled events popped inside a coalesced run are
+skipped without touching ``events_processed`` (their cancellation was
+already counted by :meth:`Event.cancel`), so :meth:`Simulator.pending`
+stays exact.  The *checked loop* takes one entry per iteration and serves
+every other mode: a ``max_events`` cap, stage timing
+(``repro.perf.STAGES`` enabled) and ``strict=True`` invariant guards.
+Both dispatch identically, so a run's results never depend on the mode.
 
 Cancellation bookkeeping: cancelled events stay in the heap (removing an
 arbitrary heap entry is O(n)) and are skipped when popped, but
@@ -76,34 +81,8 @@ _NO_ARG = object()
 #: mirroring its inlined ``post``), so the sentinel is shared, not private
 #: to the loop.
 _BURST = object()
-
-
-class CallbackBurst:
-    """N same-instant calls of one callback, packed into one heap entry.
-
-    The generic burst shape behind :meth:`Simulator.post_burst`: ``run``
-    invokes ``callback(arg)`` for every argument in order.  ``count`` is
-    the number of logical events the entry stands for — the drain adds it
-    to ``events_processed`` and :meth:`Simulator.post_burst` consumed that
-    many sequence numbers, which keeps :meth:`Simulator.pending` exact.
-
-    Specialised bursts (the network's vectorised
-    :class:`~repro.netsim.burst.DeliveryBurst`, the association remover's
-    cohort rounds) implement the same two-member protocol — ``count`` plus
-    ``run()`` — with a flat loop body of their own.
-    """
-
-    __slots__ = ("callback", "args", "count")
-
-    def __init__(self, callback: Callable[..., None], args) -> None:
-        self.callback = callback
-        self.args = args
-        self.count = len(args)
-
-    def run(self) -> None:
-        callback = self.callback
-        for arg in self.args:
-            callback(arg)
+#: The fast loop's bound for an unbounded ``run()``.
+_INF = float("inf")
 
 
 class Event:
@@ -169,13 +148,15 @@ class Simulator:
         their own stream should call :meth:`spawn_rng` so their draws do not
         perturb each other when the topology changes.
     strict:
-        Opt-in invariant guards for the chaos/fault-injection suites.  The
-        run loops verify heap monotonicity per pop and the full
+        Opt-in invariant guards for the chaos/fault-injection suites.
+        Every :meth:`run` takes the checked loop, which verifies heap
+        monotonicity per pop, burst atomicity per burst entry and the full
         event/cancellation accounting (:meth:`check_invariants`) on every
-        loop exit, raising :class:`~repro.netsim.errors.InvariantViolation`
-        on the first broken conservation law.  Strict runs dispatch through
-        one generic guarded loop — semantics are identical to the fast
-        loops (pinned by the strict-equivalence tests), only slower.
+        clean loop exit, raising
+        :class:`~repro.netsim.errors.InvariantViolation` on the first
+        broken conservation law.  Semantics are identical to the fast
+        loop (pinned by the dispatch-mode equivalence property), only
+        slower.
     """
 
     __slots__ = (
@@ -203,8 +184,8 @@ class Simulator:
         self._seed = seed
         self._spawned = 0
         self.events_processed = 0
-        #: Burst heap entries created so far (post_burst / post_burst_entry
-        #: / the network's burst transmit).  ``events_processed`` already
+        #: Burst heap entries created so far (post_burst_entry / the
+        #: network's burst transmit).  ``events_processed`` already
         #: counts burst members individually; this counter exposes how much
         #: coalescing the run actually achieved.
         self.bursts_posted = 0
@@ -274,24 +255,6 @@ class Simulator:
         heappush(self._queue, (when, sequence, event, _EVENT))
         return event
 
-    def schedule_at(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        label: str = "",
-        args: tuple = (),
-    ) -> Event:
-        """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when} (now is {self._now})"
-            )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event(when, sequence, callback, args, label, self)
-        heappush(self._queue, (when, sequence, event, _EVENT))
-        return event
-
     def post(self, delay: float, callback: Callable[..., None], arg=_NO_ARG) -> None:
         """Schedule a fire-and-forget callback ``delay`` seconds from now.
 
@@ -307,34 +270,6 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._queue, (self._now + delay, sequence, callback, arg))
-
-    def post_burst(self, delay: float, callback: Callable[..., None], args) -> None:
-        """Schedule ``callback(arg)`` for every ``arg`` at one future instant.
-
-        Event-for-event equivalent to ``post(delay, callback, arg)`` per
-        argument — same contiguous sequence-number block, same execution
-        order, same ``events_processed`` / :meth:`pending` accounting — but
-        the whole burst costs one heap push and one pop.  Like :meth:`post`,
-        burst members cannot be cancelled or labelled.  An empty ``args``
-        schedules nothing; a single argument degrades to :meth:`post`
-        (identical entry, cheaper dispatch).
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        count = len(args)
-        if count == 0:
-            return
-        sequence = self._sequence
-        if count == 1:
-            self._sequence = sequence + 1
-            heappush(self._queue, (self._now + delay, sequence, callback, args[0]))
-            return
-        self._sequence = sequence + count
-        self.bursts_posted += 1
-        heappush(
-            self._queue,
-            (self._now + delay, sequence, CallbackBurst(callback, args), _BURST),
-        )
 
     def post_burst_entry(self, delay: float, burst) -> None:
         """Schedule a pre-built burst object (``count`` + ``run()`` protocol).
@@ -417,50 +352,6 @@ class Simulator:
                 f"pending()={queued} disagrees with live heap count {live}"
             )
 
-    def step(self) -> Optional[Event]:
-        """Process the next event, returning it, or None if the queue is empty.
-
-        Anonymous events posted via :meth:`post` are returned as a freshly
-        materialised (already-executed) :class:`Event` so callers can still
-        inspect time and callback.  Burst entries are atomic: the whole
-        burst executes as one step (counting ``burst.count`` events) and is
-        returned as a single materialised Event whose callback is the
-        burst's ``run``.
-        """
-        queue = self._queue
-        while queue:
-            time_, sequence, target, arg = heappop(queue)
-            if self.strict and time_ < self._now:
-                raise InvariantViolation(
-                    f"heap monotonicity broken: popped t={time_} behind clock t={self._now}"
-                )
-            if arg is _EVENT:
-                event = target
-                if event.cancelled:
-                    continue
-                event._sim = None  # executed: a late cancel() must not count
-                self._now = time_
-                if event.args:
-                    event.callback(*event.args)
-                else:
-                    event.callback()
-                self.events_processed += 1
-                return event
-            self._now = time_
-            if arg is _BURST:
-                target.run()
-                self.events_processed += target.count
-                return Event(time_, sequence, target.run, ())
-            if arg is _NO_ARG:
-                target()
-                call_args: tuple = ()
-            else:
-                target(arg)
-                call_args = (arg,)
-            self.events_processed += 1
-            return Event(time_, sequence, target, call_args)
-        return None
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the event loop.
 
@@ -469,126 +360,51 @@ class Simulator:
         until:
             Stop once the clock would pass this absolute time.  Events at a
             later time remain queued; the clock is advanced to ``until``.
+            ``None`` runs until the queue is empty and leaves the clock at
+            the last event.
         max_events:
-            Safety valve for tests: stop after this many events.
+            Safety valve for tests: stop after this many events (a burst
+            is never split, so the count may overshoot by its tail).
 
         Returns the number of events processed by this call (burst entries
         count each of their members).
         """
-        if self.strict:
-            # Strict runs take one generic guarded loop (monotonicity per
-            # pop, burst atomicity per entry, full accounting on exit) —
-            # semantically identical to the fast loops, just slower.
-            return self._run_strict(until, max_events)
-        if STAGES.enabled:
-            # Attribution runs route through the instrumented twin; the hot
-            # loops below stay free of timing code.
-            return self._run_timed(until, max_events)
+        if max_events is not None or self.strict or STAGES.enabled:
+            return self._run_checked(until, max_events)
+        # The fast loop: pop-skip-dispatch with the ``processed`` counter
+        # accumulated locally and reconciled on exit (a callback reading
+        # ``events_processed`` mid-run sees the value as of the last run()
+        # boundary).  Contiguous equal-timestamp runs drain through the
+        # coalesced inner loop: entries at the head's exact time already
+        # passed the bound, so only the first event of each instant pays
+        # the head peek and bound comparison.  Cancelled events popped
+        # inside a coalesced run are skipped without counting (their
+        # cancellation is already in ``_cancelled``), keeping pending()
+        # exact.
+        bound = _INF if until is None else until
         queue = self._queue
         processed = 0
-        if until is None and max_events is None:
-            # Hot path used by the experiment drivers: no bound checks inside
-            # the loop, just pop-skip-dispatch.  The live/processed counters
-            # are accumulated locally and reconciled when the loop exits (a
-            # callback reading them mid-run would see the values as of the
-            # last run()/step() boundary).
-            try:
-                while queue:
-                    time_, _sequence, target, arg = heappop(queue)
-                    if arg is _EVENT:
-                        if target.cancelled:
-                            continue
-                        target._sim = None  # executed: late cancel() is a no-op
-                        self._now = time_
-                        if target.args:
-                            target.callback(*target.args)
-                        else:
-                            target.callback()
-                        processed += 1
-                        continue
-                    self._now = time_
-                    if arg is _NO_ARG:
-                        target()
-                        processed += 1
-                    elif arg is _BURST:
-                        target.run()
-                        processed += target.count
-                    else:
-                        target(arg)
-                        processed += 1
-            finally:
-                self.events_processed += processed
-            return processed
-        # Bounded paths: same pop-skip-dispatch loop with head checks, again
-        # reconciling the processed counter on exit.  Dispatch is inlined
-        # (rather than delegating to step()) so bounded runs — every
-        # ``run_for`` during warmup and attacks — do not materialise an
-        # Event object per anonymous entry just to drop it.  The until-only
-        # shape (what run_for uses, hundreds of thousands of events per
-        # experiment) gets its own loop without the max_events check, and
-        # drains contiguous equal-timestamp runs through a coalesced inner
-        # loop: entries at the head's exact time already passed the bound,
-        # so only the first event of each instant pays the head peek and
-        # until comparison.  Cancelled events popped inside the coalesced
-        # run are skipped without counting (their cancellation is already
-        # in ``_cancelled``), keeping pending() exact.
         try:
-            if max_events is None:
-                while queue:
-                    head = queue[0]
-                    if head[3] is _EVENT and head[2].cancelled:
-                        heappop(queue)
-                        continue
-                    if head[0] > until:
-                        if until > self._now:
-                            self._now = until
-                        break
-                    time_, _sequence, target, arg = heappop(queue)
-                    self._now = time_
-                    while True:
-                        if arg is _EVENT:
-                            if not target.cancelled:
-                                target._sim = None  # late cancel() is a no-op
-                                if target.args:
-                                    target.callback(*target.args)
-                                else:
-                                    target.callback()
-                                processed += 1
-                        elif arg is _NO_ARG:
-                            target()
-                            processed += 1
-                        elif arg is _BURST:
-                            target.run()
-                            processed += target.count
-                        else:
-                            target(arg)
-                            processed += 1
-                        if not queue or queue[0][0] != time_:
-                            break
-                        _time, _sequence, target, arg = heappop(queue)
-            else:
-                # Bursts are atomic: a burst entry never splits across the
-                # max_events bound, so ``processed`` may overshoot it by the
-                # tail of the last burst.
-                while queue:
-                    if processed >= max_events:
-                        break
-                    head = queue[0]
-                    if head[3] is _EVENT and head[2].cancelled:
-                        heappop(queue)
-                        continue
-                    if until is not None and head[0] > until:
-                        self._now = max(self._now, until)
-                        break
-                    time_, _sequence, target, arg = heappop(queue)
-                    self._now = time_
+            while queue:
+                head = queue[0]
+                if head[3] is _EVENT and head[2].cancelled:
+                    heappop(queue)
+                    continue
+                if head[0] > bound:
+                    if bound > self._now:
+                        self._now = bound
+                    break
+                time_, _sequence, target, arg = heappop(queue)
+                self._now = time_
+                while True:
                     if arg is _EVENT:
-                        target._sim = None  # executed: late cancel() is a no-op
-                        if target.args:
-                            target.callback(*target.args)
-                        else:
-                            target.callback()
-                        processed += 1
+                        if not target.cancelled:
+                            target._sim = None  # late cancel() is a no-op
+                            if target.args:
+                                target.callback(*target.args)
+                            else:
+                                target.callback()
+                            processed += 1
                     elif arg is _NO_ARG:
                         target()
                         processed += 1
@@ -598,24 +414,36 @@ class Simulator:
                     else:
                         target(arg)
                         processed += 1
+                    if not queue or queue[0][0] != time_:
+                        break
+                    _time, _sequence, target, arg = heappop(queue)
         finally:
             self.events_processed += processed
-        if until is not None and not queue:
-            self._now = max(self._now, until)
+        if until is not None and not queue and until > self._now:
+            self._now = until
         return processed
 
-    def _run_timed(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """The stage-attributing twin of :meth:`run`.
+    def _run_checked(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The one-entry-per-iteration loop behind every non-fast mode.
 
-        Only runs while ``repro.perf.STAGES`` collection is enabled.  Times
-        every heap pop into the ``heap`` stage (a lower bound on event-loop
-        heap work: pushes happen inside callbacks and are not attributed).
-        Dispatch semantics are identical to the uninstrumented loops —
-        timing never feeds the simulation — so instrumented runs stay
-        bit-identical.
+        Dispatch semantics are identical to the fast loop (pinned by the
+        dispatch-mode equivalence property); on top of it this loop
+
+        * stops once ``max_events`` events ran — bursts are atomic, so a
+          burst entry never splits across the cap;
+        * times every heap pop into the ``heap`` stage while
+          ``repro.perf.STAGES`` collection is enabled (a lower bound on
+          event-loop heap work: pushes happen inside callbacks); timing
+          never feeds the simulation, so attributed runs stay
+          bit-identical;
+        * under ``strict=True`` asserts heap monotonicity on every pop and
+          burst atomicity on every burst entry, then runs the full
+          :meth:`check_invariants` accounting sweep when the loop exits
+          cleanly, raising
+          :class:`~repro.netsim.errors.InvariantViolation`.
         """
+        strict = self.strict
+        timed = STAGES.enabled
         queue = self._queue
         processed = 0
         pops = 0
@@ -632,63 +460,13 @@ class Simulator:
                     if until > self._now:
                         self._now = until
                     break
-                t0 = perf_counter()
+                if timed:
+                    t0 = perf_counter()
                 time_, _sequence, target, arg = heappop(queue)
-                t_heap += perf_counter() - t0
-                pops += 1
-                self._now = time_
-                if arg is _EVENT:
-                    target._sim = None  # executed: late cancel() is a no-op
-                    if target.args:
-                        target.callback(*target.args)
-                    else:
-                        target.callback()
-                    processed += 1
-                elif arg is _NO_ARG:
-                    target()
-                    processed += 1
-                elif arg is _BURST:
-                    target.run()
-                    processed += target.count
-                else:
-                    target(arg)
-                    processed += 1
-        finally:
-            self.events_processed += processed
-            if pops:
-                STAGES.add_many("heap", t_heap, pops)
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        return processed
-
-    def _run_strict(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """The invariant-guarded twin of :meth:`run` (``strict=True``).
-
-        One generic bounded loop — dispatch semantics identical to the fast
-        loops — that additionally asserts heap monotonicity on every pop
-        and burst atomicity on every burst entry, then runs the full
-        :meth:`check_invariants` accounting sweep when the loop exits
-        cleanly.  Guards raise
-        :class:`~repro.netsim.errors.InvariantViolation`.
-        """
-        queue = self._queue
-        processed = 0
-        try:
-            while queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                head = queue[0]
-                if head[3] is _EVENT and head[2].cancelled:
-                    heappop(queue)
-                    continue
-                if until is not None and head[0] > until:
-                    if until > self._now:
-                        self._now = until
-                    break
-                time_, _sequence, target, arg = heappop(queue)
-                if time_ < self._now:
+                if timed:
+                    t_heap += perf_counter() - t0
+                    pops += 1
+                if strict and time_ < self._now:
                     raise InvariantViolation(
                         f"heap monotonicity broken: popped t={time_} "
                         f"behind clock t={self._now}"
@@ -706,12 +484,12 @@ class Simulator:
                     processed += 1
                 elif arg is _BURST:
                     count = target.count
-                    if count <= 0:
+                    if strict and count <= 0:
                         raise InvariantViolation(
                             f"burst entry with non-positive count {count}"
                         )
                     target.run()
-                    if target.count != count:
+                    if strict and target.count != count:
                         raise InvariantViolation(
                             "burst atomicity broken: count changed from "
                             f"{count} to {target.count} during run()"
@@ -722,19 +500,14 @@ class Simulator:
                     processed += 1
         finally:
             self.events_processed += processed
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        self.check_invariants()
+            if pops:
+                STAGES.add_many("heap", t_heap, pops)
+        if until is not None and not queue and until > self._now:
+            self._now = until
+        if strict:
+            self.check_invariants()
         return processed
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run the loop for ``duration`` simulated seconds from now."""
         return self.run(until=self._now + duration, max_events=max_events)
-
-    def advance(self, duration: float) -> None:
-        """Advance the clock without processing events (test helper)."""
-        if duration < 0:
-            raise SimulationError("cannot advance backwards")
-        target = self._now + duration
-        self.run(until=target)
-        self._now = max(self._now, target)

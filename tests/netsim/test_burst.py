@@ -13,19 +13,32 @@ from repro.ntp.packet import NTPPacket, NTP_PORT
 from repro.ntp.server import NTPServer, NTPServerConfig
 
 
+class _CallbackBurst:
+    """Test-local burst entry: ``callback(arg)`` for every ``arg``, in order."""
+
+    def __init__(self, callback, args) -> None:
+        self.callback = callback
+        self.args = args
+        self.count = len(args)
+
+    def run(self) -> None:
+        for arg in self.args:
+            self.callback(arg)
+
+
 class TestPostBurst:
     def test_burst_members_fire_in_order_with_neighbours(self):
         sim = Simulator()
         order = []
         sim.post(1.0, order.append, "before")
-        sim.post_burst(1.0, order.append, ["b1", "b2", "b3"])
+        sim.post_burst_entry(1.0, _CallbackBurst(order.append, ["b1", "b2", "b3"]))
         sim.post(1.0, order.append, "after")
         sim.run()
         assert order == ["before", "b1", "b2", "b3", "after"]
 
     def test_burst_consumes_one_sequence_number_per_member(self):
         sim = Simulator()
-        sim.post_burst(1.0, lambda _: None, [1, 2, 3, 4])
+        sim.post_burst_entry(1.0, _CallbackBurst(lambda _: None, [1, 2, 3, 4]))
         assert sim.pending() == 4
         sim.run()
         assert sim.pending() == 0
@@ -34,41 +47,24 @@ class TestPostBurst:
 
     def test_empty_burst_schedules_nothing(self):
         sim = Simulator()
-        sim.post_burst(1.0, lambda _: None, [])
+        sim.post_burst_entry(1.0, _CallbackBurst(lambda _: None, []))
         assert sim.pending() == 0
+        assert sim.bursts_posted == 0
         assert sim.run() == 0
-
-    def test_single_member_degrades_to_post(self):
-        sim = Simulator()
-        fired = []
-        sim.post_burst(1.0, fired.append, ["only"])
-        assert sim.bursts_posted == 0  # plain anonymous entry
-        sim.run()
-        assert fired == ["only"]
-        assert sim.events_processed == 1
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.post_burst(-0.5, lambda _: None, [1])
+            sim.post_burst_entry(-0.5, _CallbackBurst(lambda _: None, [1]))
 
     def test_burst_is_atomic_under_max_events(self):
         sim = Simulator()
         fired = []
-        sim.post_burst(1.0, fired.append, [1, 2, 3])
+        sim.post_burst_entry(1.0, _CallbackBurst(fired.append, [1, 2, 3]))
         processed = sim.run(max_events=1)
         # Bursts never split: the entry drains whole and counts 3.
         assert processed == 3
         assert fired == [1, 2, 3]
-
-    def test_step_executes_whole_burst(self):
-        sim = Simulator()
-        fired = []
-        sim.post_burst(2.0, fired.append, ["x", "y"])
-        event = sim.step()
-        assert fired == ["x", "y"]
-        assert event is not None and event.time == 2.0
-        assert sim.events_processed == 2
 
     def test_burst_members_can_post_more_work(self):
         sim = Simulator()
@@ -79,7 +75,7 @@ class TestPostBurst:
             if tag == "a":
                 sim.post(0.0, fired.append, "child-of-a")
 
-        sim.post_burst(1.0, member, ["a", "b"])
+        sim.post_burst_entry(1.0, _CallbackBurst(member, ["a", "b"]))
         sim.run()
         # The child fires after the rest of the burst (it got a later
         # sequence number), exactly as N singular posts would order it.
@@ -88,7 +84,7 @@ class TestPostBurst:
     def test_run_until_respects_burst_time(self):
         sim = Simulator()
         fired = []
-        sim.post_burst(5.0, fired.append, [1, 2])
+        sim.post_burst_entry(5.0, _CallbackBurst(fired.append, [1, 2]))
         sim.run(until=2.0)
         assert fired == []
         assert sim.now == 2.0
