@@ -69,10 +69,7 @@ def table2_runtime_attack(
     }
     if client not in client_models:
         raise ValueError(f"unknown client model {client!r}")
-    scenario_enum = {
-        "P1": RunTimeScenario.P1_KNOWN_SERVERS,
-        "P2": RunTimeScenario.P2_REFID_DISCOVERY,
-    }[attack]
+    scenario_enum = RunTimeScenario(attack)
 
     testbed = build_testbed(TestbedConfig(pool_size=pool_size, seed=seed))
     victim = testbed.add_client(client_models[client])

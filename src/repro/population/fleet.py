@@ -15,11 +15,9 @@ as the ``table2_runtime_attack`` scenario, so the fleet path reproduces the
 golden single-victim results bit-for-bit (pinned by
 ``tests/population/test_fleet_golden.py``).
 
-Client attachment mirrors :meth:`repro.testbed.LabTestbed.add_client` —
-increment-first victim indexing, ``victim-<n>`` host names — but allocates
-addresses arithmetically (``VICTIM_BASE_IP + index``) so fleets larger than
-155 clients get valid dotted quads; the strings are identical in the
-overlapping range.
+Clients attach through :meth:`repro.testbed.LabTestbed.add_client`, which
+allocates victim addresses arithmetically (``VICTIM_BASE_IP + index``), so
+fleets of any size get valid dotted quads.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from functools import lru_cache
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.run_time import RunTimeAttack, RunTimeScenario
-from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.faults import (
     Corruption,
     Duplication,
@@ -44,12 +41,7 @@ from repro.ntp.clients import CLIENT_REGISTRY
 from repro.population.aggregate import StreamingAggregate
 from repro.population.generate import ClientManifest, generate_fleet
 from repro.population.spec import FaultRegimeSpec, PopulationSpec
-from repro.testbed import RESOLVER_IP, VICTIM_BASE_IP, LabTestbed, TestbedConfig, build_testbed
-
-_SCENARIOS = {
-    "P1": RunTimeScenario.P1_KNOWN_SERVERS,
-    "P2": RunTimeScenario.P2_REFID_DISCOVERY,
-}
+from repro.testbed import RESOLVER_IP, LabTestbed, TestbedConfig, build_testbed
 
 
 @lru_cache(maxsize=64)
@@ -106,27 +98,18 @@ def _fault_components(regime: FaultRegimeSpec) -> tuple:
 def _attach_client(
     testbed: LabTestbed, spec: PopulationSpec, manifest: ClientManifest
 ) -> Any:
-    """Mirror ``LabTestbed.add_client`` with arithmetic address allocation."""
+    """Attach one manifest's client with its link profile and fault regime."""
     client_class = CLIENT_REGISTRY[manifest.client_type]
-    testbed._next_victim_index += 1
-    index = testbed._next_victim_index
-    ip = int_to_ip(ip_to_int(VICTIM_BASE_IP) + index)
-    host = testbed.network.add_host(f"victim-{index}", ip)
-
     config = None
     if manifest.poll_multiplier != 1.0:
         default = client_class.default_config()
         config = replace(
             default, poll_interval=default.poll_interval * manifest.poll_multiplier
         )
-    client = client_class(
-        host,
-        testbed.simulator,
-        testbed.resolver.ip,
-        config=config,
-        initial_clock_offset=manifest.initial_clock_offset,
+    client = testbed.add_client(
+        client_class, config=config, initial_clock_offset=manifest.initial_clock_offset
     )
-    testbed.clients.append(client)
+    ip = client.host.ip
 
     profile = spec.link_profile_table()[manifest.link_profile]
     if profile.latency != testbed.config.link_latency or profile.loss:
@@ -175,7 +158,7 @@ def run_fleet(
       the group's directed link pairs.
     """
     fleet = generate_fleet(spec, seed)
-    scenario_enum = _SCENARIOS[spec.attack]
+    scenario_enum = RunTimeScenario(spec.attack)
     testbed = build_testbed(
         TestbedConfig(
             seed=seed,

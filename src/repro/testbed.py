@@ -15,7 +15,8 @@ from typing import Optional, Type
 from repro.core.attacker import Attacker, AttackerResources
 from repro.dns.nameserver import PoolNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverConfig
-from repro.netsim.host import OSProfile
+from repro.netsim.addresses import int_to_ip, ip_to_int
+from repro.netsim.host import Host, OSProfile
 from repro.netsim.ipid import GlobalCounterIPID
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
@@ -75,11 +76,7 @@ class LabTestbed:
         start: bool = False,
     ) -> BaseNTPClient:
         """Attach a victim NTP client of the given implementation model."""
-        self._next_victim_index += 1
-        ip_tail = 100 + self._next_victim_index
-        host = self.network.add_host(
-            f"victim-{self._next_victim_index}", f"192.0.2.{ip_tail}"
-        )
+        host = self._add_victim_host("victim")
         client = client_class(
             host,
             self.simulator,
@@ -98,17 +95,25 @@ class LabTestbed:
         initial_clock_offset: float = 0.0,
     ) -> ChronosClient:
         """Attach a Chronos-enhanced client."""
-        self._next_victim_index += 1
-        ip_tail = 100 + self._next_victim_index
-        host = self.network.add_host(
-            f"chronos-{self._next_victim_index}", f"192.0.2.{ip_tail}"
-        )
+        host = self._add_victim_host("chronos")
         return ChronosClient(
             host,
             self.simulator,
             self.resolver.ip,
             config=config,
             initial_clock_offset=initial_clock_offset,
+        )
+
+    def _add_victim_host(self, kind: str) -> Host:
+        """The next victim host: ``<kind>-<n>`` at ``VICTIM_BASE_IP + n``.
+
+        Addresses are allocated arithmetically, so testbeds with more than
+        155 victims still get valid dotted quads.
+        """
+        self._next_victim_index += 1
+        index = self._next_victim_index
+        return self.network.add_host(
+            f"{kind}-{index}", int_to_ip(ip_to_int(VICTIM_BASE_IP) + index)
         )
 
     # ----------------------------------------------------------- shortcuts

@@ -49,6 +49,19 @@ class TestBootBehaviour:
         assert abs(client.clock_error()) < 0.05
         assert client.stats.steps_applied == 0
 
+    def test_victim_addresses_stay_valid_beyond_155_clients(self, small_testbed):
+        clients = [
+            small_testbed.add_client(BaseNTPClient, config=single_domain_config())
+            for _ in range(156)
+        ]
+        assert clients[0].host.ip == "192.0.2.101"
+        assert clients[154].host.ip == "192.0.2.255"
+        assert clients[155].host.ip == "192.0.3.0"
+        clients[155].start()
+        small_testbed.run_for(10)
+        assert clients[155].stats.boot_dns_lookups == 1
+        assert len(clients[155].usable_server_ips()) == 4
+
     def test_start_is_idempotent(self, small_testbed):
         client = small_testbed.add_client(BaseNTPClient, config=single_domain_config())
         client.start()
