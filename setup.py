@@ -6,8 +6,8 @@ needs the ``wheel`` package; where that is unavailable,
 classic ``setup.py develop`` path.
 
 numpy is a hard dependency: the simulator's seeded RNG, the burst
-engine's stacked checksum pass, the rate limiter's ``consume_times`` and
-the streaming aggregates all import it unconditionally.  Python 3.11 is
+engine's stacked checksum pass and the streaming aggregates all import
+it unconditionally.  Python 3.11 is
 the floor because the chaos-plan and population-spec loaders import
 ``tomllib``.
 """

@@ -457,14 +457,13 @@ class ExperimentRunner:
         *,
         sweep_id: Optional[str] = None,
         seed: Optional[int] = None,
-        fault_plan: Optional[Any] = None,
         metadata: Optional[dict[str, Any]] = None,
         finish: bool = True,
     ) -> list[RunOutcome]:
         """Execute a sweep writing through a durable
         :class:`~repro.experiments.store.RunStore`.
 
-        The sweep's manifest (spec list, seed, fault plan, git revision)
+        The sweep's manifest (spec list, seed, git revision)
         commits atomically before the first run; every finished outcome
         appends to an fsynced segment as it completes.  On success the
         manifest is stamped ``complete``; graceful cancellation stamps
@@ -484,7 +483,6 @@ class ExperimentRunner:
             specs,
             sweep_id=sweep_id,
             seed=seed,
-            fault_plan=fault_plan,
             metadata=metadata,
         )
         self.last_sweep_id = writer.sweep_id

@@ -159,16 +159,15 @@ def chaos_link_faults(
     reorder_delay: float = 0.2,
     partition_start: float = 20.0,
     partition_duration: float = 5.0,
-    strict: bool = True,
 ) -> dict[str, Any]:
     """Seeded chaos microworld: one faulted link under every fault model.
 
     A sender streams ``packets`` UDP datagrams at a fixed ``interval``
     across a link carrying a full :class:`~repro.netsim.faults.FaultPlan`
     (Gilbert–Elliott bursty loss, bit-flip corruption, duplication,
-    reorder jitter, a scheduled partition).  The simulator runs with the
-    ``strict`` invariant guards on, so heap-monotonicity or accounting
-    violations raise instead of corrupting results silently.
+    reorder jitter, a scheduled partition).  The simulator always runs
+    with the ``strict`` invariant guards on, so heap-monotonicity or
+    accounting violations raise instead of corrupting results silently.
 
     The returned document states the conservation laws the chaos property
     suite asserts:
@@ -193,7 +192,7 @@ def chaos_link_faults(
         UDPDatagram,
     )
 
-    simulator = Simulator(seed=seed, strict=strict)
+    simulator = Simulator(seed=seed, strict=True)
     network = Network(simulator)
     sender = network.add_host("sender", "10.0.0.1")
     receiver = network.add_host("receiver", "10.0.0.2")
@@ -224,9 +223,7 @@ def chaos_link_faults(
 
     for index in range(packets):
         simulator.post(index * interval, send, index)
-    simulator.run()
-    if strict:
-        simulator.check_invariants()
+    simulator.run()  # strict: check_invariants() runs on a clean exit
 
     corrupted_deliveries = sum(
         1 for captured in capture.packets if captured.packet.metadata.get("corrupted")

@@ -63,30 +63,16 @@ PIPELINE_CACHE_MAX_ENTRIES = 65536
 
 
 class Network:
-    """A set of hosts plus the rules for moving packets between them.
-
-    Parameters
-    ----------
-    strict_routing:
-        When true, :meth:`transmit` raises :class:`NoRouteError` (a typed
-        :class:`~repro.netsim.errors.NetSimError`) for packets addressed to
-        an unknown destination instead of silently dropping them.  The
-        default keeps the Internet-like silent drop — attack scenarios
-        legitimately send packets to unrouted addresses (e.g. a victim
-        polling a poisoned address with no host behind it) — while strict
-        mode turns typos in experiment topologies into hard errors.
-    """
+    """A set of hosts plus the rules for moving packets between them."""
 
     def __init__(
         self,
         simulator: Simulator,
         default_latency: float = 0.01,
         default_loss: float = 0.0,
-        strict_routing: bool = False,
     ) -> None:
         self.simulator = simulator
         self.default_link = Link(latency=default_latency, loss_probability=default_loss)
-        self.strict_routing = strict_routing
         self._hosts: dict[str, Host] = {}
         self._links: dict[frozenset[str], Link] = {}
         #: Per-(src, dst) compiled delivery pipelines; invalidated by
@@ -382,9 +368,9 @@ class Network:
         """Deliver a packet from its (claimed) source to its destination.
 
         Packets addressed to unknown destinations are silently dropped, like
-        the real Internet does for unrouted addresses — unless the network
-        was built with ``strict_routing=True``, in which case a typed
-        :class:`NoRouteError` is raised.
+        the real Internet does for unrouted addresses: attack scenarios
+        legitimately send packets to unrouted addresses (e.g. a victim
+        polling a poisoned address with no host behind it).
         """
         self.packets_transmitted += 1
         pipeline = self._pipelines.get((packet.src, packet.dst))
@@ -392,8 +378,6 @@ class Network:
             pipeline = self._compile_pipeline(packet.src, packet.dst)
         deliver = pipeline.deliver
         if deliver is None:
-            if self.strict_routing:
-                raise NoRouteError(f"no host at {packet.dst}")
             self.packets_dropped += 1
             return
         if pipeline.loss_probability > 0 and self._rng.random() < pipeline.loss_probability:
@@ -478,15 +462,14 @@ class Network:
         compile_pipeline = self._compile_pipeline
         captures = self._captures
         rng_random = self._rng.random
-        strict = self.strict_routing
         simulator = self.simulator
         now = simulator._now  # constant: no event runs mid-burst
         group: list = []
         group_time = 0.0
         flush = self._flush_burst_group
-        # Counters accumulate locally and reconcile once (and before the
-        # strict-routing raise), keeping the per-packet loop free of
-        # attribute read-modify-writes.
+        # Counters accumulate locally and reconcile once (even if the loop
+        # raises), keeping the per-packet loop free of attribute
+        # read-modify-writes.
         transmitted = 0
         dropped = 0
         try:
@@ -496,14 +479,6 @@ class Network:
                 if pipeline is None:
                     pipeline = compile_pipeline(packet.src, packet.dst)
                 if pipeline.deliver is None:
-                    if strict:
-                        # Keep exception semantics aligned with singular
-                        # calls: everything before the unroutable packet is
-                        # already on the wire.
-                        if group:
-                            flush(group, group_time)
-                            group = []
-                        raise NoRouteError(f"no host at {packet.dst}")
                     dropped += 1
                     continue
                 if pipeline.loss_probability > 0 and rng_random() < pipeline.loss_probability:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 
 class RateLimitDecision(Enum):
     """What the server should do with one incoming query."""
@@ -135,10 +133,6 @@ class RateLimiter:
             return _KOD
         return _DROP
 
-    #: Alias used by the burst engine's property tests and docs: one
-    #: ``consume`` is one accounted query, ``consume_burst(n)`` is n of them.
-    consume = check
-
     def consume_burst(self, source_ip: str, n: int, now: float) -> BurstOutcome:
         """Account for ``n`` same-instant queries from one source at once.
 
@@ -202,83 +196,6 @@ class RateLimiter:
             self.kods_sent += 1
             kod = True
         return BurstOutcome(responds, kod, denied - (1 if kod else 0))
-
-    def consume_times(self, source_ip: str, times) -> list[RateLimitDecision]:
-        """Fast-forward one source through a whole arrival schedule at once.
-
-        The mixed-interval closed form: the score recurrence
-        ``s_k = max(s_{k-1} - dt_k, 0) + cost`` linearises under the
-        substitution ``v_k = s_k + t_k - (k+1)·cost`` to a plain running
-        maximum ``v_k = max(v_{k-1}, t_k - k·cost)``, so an arbitrary
-        arrival schedule costs three numpy vector ops instead of a Python
-        loop per query.  Decisions come back in arrival order, and the
-        bucket state, KoD latch and aggregate counters advance exactly as
-        if every arrival had been :meth:`check`-ed.
-
-        Float caveat (why the live simulation splice uses
-        :meth:`consume_burst` instead): the vectorised algebra rounds
-        differently from per-call accumulation within a few ulps of the
-        tolerance boundary.  Decisions are identical whenever no
-        accumulated score lands that close to ``burst_tolerance`` — exact
-        on integer-valued schedules — which makes this the *planning and
-        measurement* fast path (scan predictions, population analytics),
-        not a drop-in for the per-packet path.
-
-        ``times`` must be non-decreasing and ``average_interval``
-        non-negative.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        n = int(times.size)
-        if n == 0:
-            return []
-        cost = self.average_interval
-        if cost < 0.0:
-            raise ValueError(
-                f"consume_times requires average_interval >= 0, got {cost}"
-            )
-        if n > 1 and bool(np.any(np.diff(times) < 0.0)):
-            raise ValueError("consume_times requires non-decreasing arrival times")
-        self.queries_seen += n
-        if not self.enabled:
-            return [RateLimitDecision.RESPOND] * n
-        sources = self.sources
-        state = sources.get(source_ip)
-        if state is None:
-            state = sources[source_ip] = _SourceState(last_seen=float(times[0]))
-        # check() never drains on non-positive elapsed time, so a first
-        # arrival before last_seen behaves as if last_seen were that
-        # arrival's own time.
-        anchor = min(state.last_seen, float(times[0]))
-        seed = state.score + anchor
-        tolerance = self.burst_tolerance
-        k = np.arange(n, dtype=np.float64)
-        # v_k = max(v_init, max_{j<=k}(t_j - j·cost)); the j-term encodes a
-        # bucket that drained to empty just before arrival j, the seed term
-        # the bucket carried over from the previous state.
-        v = np.maximum.accumulate(np.maximum(times - k * cost, seed))
-        scores = v - times + (k + 1.0) * cost
-        denied_mask = (scores > tolerance).tolist()
-        denied = sum(denied_mask)
-        last_score = float(scores[-1])
-        state.score = last_score
-        state.last_seen = float(times[-1])
-        if denied == 0:
-            return [RateLimitDecision.RESPOND] * n
-        state.drops += denied
-        self.queries_dropped += denied
-        decisions: list[RateLimitDecision] = []
-        kod_available = self.send_kod and not state.kod_sent
-        for is_denied in denied_mask:
-            if not is_denied:
-                decisions.append(RateLimitDecision.RESPOND)
-            elif kod_available:
-                kod_available = False
-                state.kod_sent = True
-                self.kods_sent += 1
-                decisions.append(RateLimitDecision.KOD)
-            else:
-                decisions.append(RateLimitDecision.DROP)
-        return decisions
 
     def is_limited(self, source_ip: str, now: float) -> bool:
         """True when ``source_ip`` would currently be denied service."""

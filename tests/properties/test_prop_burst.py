@@ -10,7 +10,7 @@ Three pinned equivalences:
   worlds and generated send plans are shared with the fault properties
   (``test_prop_faults``).
 * ``RateLimiter.consume_burst(source, n, now)`` must match ``n``
-  sequential ``consume()`` calls bit-for-bit: decisions in order, final
+  sequential ``check()`` calls bit-for-bit: decisions in order, final
   bucket state, and every aggregate counter, across token levels, refill
   boundaries and fractional rates.
 * The burst checksum verify (both the flat arithmetic pass and the numpy
@@ -19,8 +19,6 @@ Three pinned equivalences:
 """
 
 from __future__ import annotations
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,7 +235,7 @@ class TestConsumeBurstPinnedToSequential:
         for gap, n in plan:
             now += gap
             outcome = bulk.consume_burst(source, n, now)
-            decisions = [sequential.consume(source, now) for _ in range(n)]
+            decisions = [sequential.check(source, now) for _ in range(n)]
 
             # Decision layout: RESPOND × responds, then at most one KOD,
             # then DROPs — and the counts must match exactly.
@@ -264,62 +262,12 @@ class TestConsumeBurstPinnedToSequential:
             if index % 2 == 0:
                 bulk.consume_burst(source, n, now)
                 for _ in range(n):
-                    sequential.consume(source, now)
+                    sequential.check(source, now)
             else:
                 for _ in range(n):
-                    bulk.consume(source, now)
+                    bulk.check(source, now)
                 sequential.consume_burst(source, n, now)
             assert limiter_state(bulk, source) == limiter_state(sequential, source)
-
-
-class TestConsumeTimesClosedForm:
-    @given(
-        st.sampled_from([8.0, 2.0, 1.0, 0.0]),
-        st.sampled_from([100.0, 10.0, 3.0]),
-        st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=40),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_integer_schedules_match_sequential_exactly(self, rate, tolerance, gaps):
-        """On integer-valued schedules the vectorised algebra is exact."""
-        source = "198.51.100.44"
-        closed, sequential = limiter_pair(rate, tolerance, True, True)
-        times = []
-        now = 0.0
-        for gap in gaps:
-            now += gap
-            times.append(now)
-        decisions = closed.consume_times(source, times)
-        expected = [sequential.consume(source, t) for t in times]
-        assert decisions == expected
-        assert limiter_state(closed, source)[:3] == limiter_state(sequential, source)[:3]
-        state_a = closed.sources[source]
-        state_b = sequential.sources[source]
-        assert state_a.last_seen == state_b.last_seen
-        assert math.isclose(state_a.score, state_b.score, abs_tol=1e-9)
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_float_schedules_track_sequential_scores(self, gaps):
-        """Scores agree to float tolerance on arbitrary schedules."""
-        source = "198.51.100.45"
-        closed, sequential = limiter_pair(7.77, 40.0, True, True)
-        times = []
-        now = 0.0
-        for gap in gaps:
-            now += gap
-            times.append(now)
-        closed.consume_times(source, times)
-        for t in times:
-            sequential.consume(source, t)
-        state_a = closed.sources[source]
-        state_b = sequential.sources[source]
-        assert math.isclose(state_a.score, state_b.score, rel_tol=1e-9, abs_tol=1e-6)
 
 
 # ---------------------------------------------------------- burst checksums

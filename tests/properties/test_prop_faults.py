@@ -160,14 +160,13 @@ class TestConservationLaws:
     def test_every_packet_accounted_for(
         self, seed, corruption, duplication, p_enter_bad
     ):
-        # strict=True: the whole regime runs under the invariant guards.
+        # The whole regime runs under the strict invariant guards.
         result = chaos_link_faults(
             seed=seed,
             packets=120,
             corruption=corruption,
             duplication=duplication,
             p_enter_bad=p_enter_bad,
-            strict=True,
         )
         # Termination is implied by returning at all; the clock must have
         # reached at least the last send.
