@@ -222,8 +222,26 @@ class TestStageAttribution:
                 for index in range(10):
                     a.bind(0).sendto(b"x" * index, "10.0.0.2", 53)
                 net.inject(corrupted_packet("10.0.0.1", "10.0.0.2"))
+                # A same-instant spray to one receiver drains as one
+                # delivery burst: handler and inbox-mode sockets, plus a
+                # corrupted checksum the burst verify must hand back to
+                # the scalar path.
+                inbox = b.bind(54)
+                spray = []
+                for index in range(6):
+                    port = 53 if index % 2 else 54
+                    datagram = UDPDatagram(4000, port, b"burst-%d" % index)
+                    payload = encode_udp("10.0.0.1", "10.0.0.2", datagram)
+                    spray.append(IPv4Packet.udp("10.0.0.1", "10.0.0.2", payload, index))
+                spray.insert(3, corrupted_packet("10.0.0.1", "10.0.0.2"))
+                net.transmit_burst(spray)
                 sim.run()
-                return received, b.stats.udp_received, b.stats.udp_checksum_failures
+                return (
+                    received,
+                    b.stats.udp_received,
+                    b.stats.udp_checksum_failures,
+                    [(d.payload, d.src_ip, d.src_port, d.received_at) for d in inbox.inbox],
+                )
             finally:
                 STAGES.disable()
                 STAGES.reset()
