@@ -230,10 +230,15 @@ class ChaosPlan:
                 times.add(cursor)
         cadence = self.horizon.checkpoint_every
         if cadence > 0:
-            tick = cadence
-            while tick < total:
-                times.add(tick)
-                tick += cadence
+            # Ticks are k * cadence, not a drifting running sum.  A tick
+            # within 1e-9 s of a phase boundary or the horizon is the same
+            # instant, and every checkpoint costs a full re-simulation.
+            fixed = tuple(times)
+            k = 1
+            while (tick := k * cadence) < total:
+                if all(abs(tick - time) > 1e-9 for time in fixed):
+                    times.add(tick)
+                k += 1
         return tuple(sorted(times))
 
     # --------------------------------------------------------- serialisation

@@ -101,6 +101,13 @@ class TestTimeline:
         # phase boundaries {900, 1500} ∪ cadence {500, 1000, 1500} ∪ {1800}
         assert plan.checkpoints() == (500.0, 900.0, 1000.0, 1500.0, 1800.0)
         assert ChaosPlan().checkpoints() == ()
+        # A fractional cadence lands on the phase boundaries up to float
+        # drift (3 x 0.1 != 0.3); each instant is checkpointed once.
+        fractional = ChaosPlan(
+            phases=(ChaosPhase("a", 0.3), ChaosPhase("b", 0.3)),
+            horizon=CampaignHorizon(duration=0.7, checkpoint_every=0.1),
+        )
+        assert fractional.checkpoints() == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
     def test_boundary_checkpoints_only_without_cadence(self):
         plan = ChaosPlan(phases=(ChaosPhase("a", 10.0), ChaosPhase("b", 5.0)))
