@@ -13,9 +13,5 @@ class MessageError(DNSError):
     """A DNS message could not be encoded or decoded."""
 
 
-class ResolutionError(DNSError):
-    """A query could not be resolved (timeout, SERVFAIL, no nameserver)."""
-
-
 class ValidationError(DNSError):
     """DNSSEC validation failed."""

@@ -703,10 +703,6 @@ class ExperimentRunner:
             tuple(specs[start : start + size]) for start in range(0, len(specs), size)
         ]
 
-    def run_grid(self, scenario: str, **axes: Iterable[Any]) -> list[RunOutcome]:
-        """Declare and execute a cross-product grid in one call."""
-        return self.run(make_grid(scenario, **axes))
-
 
 class _PoolEngine:
     """Resilient pool drain with a K-way probation tier.

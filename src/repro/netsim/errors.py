@@ -17,10 +17,6 @@ class FragmentationError(NetSimError):
     """Fragmentation or reassembly failed (bad offsets, MTU too small...)."""
 
 
-class ChecksumError(NetSimError):
-    """A checksum did not verify on receive."""
-
-
 class PortInUseError(NetSimError):
     """A UDP port is already bound on the host."""
 
