@@ -10,8 +10,9 @@
 #                      pre-merge gate
 #   make bench-refresh re-run benchmarks and rewrite BENCH_netsim.json
 #                      (refuses to overwrite the baseline on regression)
-#   make bench-burst   quick burst-engine microbenchmarks only (delivery
-#                      bursts + bulk rate-limiter accounting, JSON output)
+#   make bench-burst   quick burst-engine microbenchmarks only (burst and
+#                      singular delivery + per-query rate-limiter
+#                      accounting, JSON output)
 #   make chaos         fault-injection / resilience property suite only
 #                      (the `chaos`-marked tests, which `make test` also runs;
 #                      includes the kill -9 crash-injection harness)

@@ -358,31 +358,8 @@ def burst_events_per_sec(count: int = 30_000, burst: int = 64) -> float:
     return rounds * burst / elapsed
 
 
-def limiter_burst_ops_per_sec(count: int = 256_000, burst: int = 64) -> float:
-    """Bulk rate-limiter accounting: queries/sec through ``consume_burst``.
-
-    One ``consume_burst(source, n, now)`` call per simulated flood burst —
-    the closed-form drain fast-forward plus the flat accumulation loop —
-    versus the per-query ``check`` tower it replaces (compare
-    ``limiter_check_ops_per_sec``).
-    """
-    from repro.ntp.rate_limit import RateLimiter
-
-    limiter = RateLimiter()
-    consume_burst = limiter.consume_burst
-    rounds = max(1, count // burst)
-    now = 0.0
-    started = time.perf_counter()
-    for _ in range(rounds):
-        now += 1.0
-        consume_burst("198.51.100.7", burst, now)
-    elapsed = time.perf_counter() - started
-    assert limiter.queries_seen == rounds * burst
-    return rounds * burst / elapsed
-
-
 def limiter_check_ops_per_sec(count: int = 64_000) -> float:
-    """The singular ``check`` rate, for the burst/singular comparison."""
+    """Per-query rate-limiter accounting: ``check`` calls/sec."""
     from repro.ntp.rate_limit import RateLimiter
 
     limiter = RateLimiter()
@@ -492,9 +469,6 @@ def run_micro_benchmarks(rounds: int = 5) -> dict:
             _best_of(pipeline_events_per_sec, rounds)
         ),
         "burst_events_per_sec": round(_best_of(burst_events_per_sec, rounds)),
-        "limiter_burst_ops_per_sec": round(
-            _best_of(limiter_burst_ops_per_sec, rounds)
-        ),
         "limiter_check_ops_per_sec": round(
             _best_of(limiter_check_ops_per_sec, rounds)
         ),
@@ -574,18 +548,6 @@ def test_burst_delivery_not_slower_than_singular_dispatch():
     assert burst > singular, (burst, singular)
 
 
-def test_limiter_burst_floor():
-    """consume_burst bulk accounting floor (typical: tens of millions/s)."""
-    assert limiter_burst_ops_per_sec(count=64_000) > 2_000_000
-
-
-def test_limiter_burst_faster_than_sequential_checks():
-    """The whole point of consume_burst: cheaper than n check() calls."""
-    sequential = _best_of(lambda: limiter_check_ops_per_sec(count=32_000), 3)
-    bulk = _best_of(lambda: limiter_burst_ops_per_sec(count=32_000), 3)
-    assert bulk > sequential * 2.0, (bulk, sequential)
-
-
 if __name__ == "__main__":
     # ``make bench-burst``: just the burst-engine numbers, quickly.
     import json
@@ -596,9 +558,6 @@ if __name__ == "__main__":
                 "burst_events_per_sec": round(_best_of(burst_events_per_sec, 3)),
                 "pipeline_events_per_sec": round(
                     _best_of(pipeline_events_per_sec, 3)
-                ),
-                "limiter_burst_ops_per_sec": round(
-                    _best_of(limiter_burst_ops_per_sec, 3)
                 ),
                 "limiter_check_ops_per_sec": round(
                     _best_of(limiter_check_ops_per_sec, 3)

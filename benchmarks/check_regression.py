@@ -83,7 +83,6 @@ THROUGHPUT_METRICS: tuple[tuple[str, ...], ...] = (
     ("microbenchmarks", "event_loop", "schedule_drain", "fast_events_per_sec"),
     ("microbenchmarks", "event_loop", "timer_chain", "fast_events_per_sec"),
     ("microbenchmarks", "burst_events_per_sec"),
-    ("microbenchmarks", "limiter_burst_ops_per_sec"),
     ("experiments", "table2_ntpd_p1", "result", "events_per_wall_second"),
     ("experiments", "population_fleet", "result", "clients_per_sec"),
 )
@@ -113,7 +112,7 @@ DEFAULT_THRESHOLD = 0.20
 
 #: Per-metric noise bands (dotted metric name → tolerated fractional
 #: slowdown), overriding the global threshold.  The sub-millisecond
-#: event-loop and rate-limiter microbenches are dominated by OS scheduling
+#: event-loop and cold-decode microbenches are dominated by OS scheduling
 #: jitter and CPU frequency state, so they wobble far more run-to-run than
 #: the long pipeline and end-to-end measurements; giving them a wider band
 #: keeps the gate sensitive where measurements are stable without turning
@@ -123,7 +122,6 @@ NOISE_BANDS: dict[str, float] = {
     "microbenchmarks.event_loop.delivery.fast_events_per_sec": 0.30,
     "microbenchmarks.event_loop.schedule_drain.fast_events_per_sec": 0.30,
     "microbenchmarks.event_loop.timer_chain.fast_events_per_sec": 0.30,
-    "microbenchmarks.limiter_burst_ops_per_sec": 0.30,
     "microbenchmarks.dns_decode_cold_ops_per_sec": 0.30,
     # A sub-second fleet cell: wall time wobbles with worker start-up.
     "experiments.population_fleet.result.clients_per_sec": 0.30,

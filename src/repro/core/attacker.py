@@ -124,7 +124,7 @@ class Attacker:
 
         Logically equivalent to :meth:`inject` per packet (order, counters,
         loss draws, delivered bytes), but the same-instant spray costs one
-        heap entry and its UDP checksums verify in one vectorised pass —
+        heap entry and its UDP checksums verify in one flat pass —
         see :meth:`repro.netsim.network.Network.transmit_burst`.
         """
         packets = list(packets)

@@ -278,7 +278,7 @@ class AssociationRemover:
         The flat loop the burst engine buys: the wire memo is refreshed
         once, the counters bumped once, and the whole spray goes through
         :meth:`~repro.netsim.network.Network.transmit_burst` — one heap
-        entry, one vectorised checksum verify on delivery.  Craft order is
+        entry, one flat checksum verify pass on delivery.  Craft order is
         campaign order, so delivery order, loss draws and IPID usage match
         the old query-at-a-time loop exactly.
         """

@@ -131,8 +131,7 @@ class HostDatapath:
     and mutates in place (socket table, defrag cache, stats block), so the
     compiled paths observe live state without per-packet attribute chases.
     OS-profile *flags* are copied at construction — profiles are fixed at
-    host creation everywhere in the codebase; a caller that mutates one
-    afterwards must call :meth:`recompile`.
+    host creation everywhere in the codebase.
     """
 
     __slots__ = (
@@ -167,10 +166,6 @@ class HostDatapath:
         self.t_defrag = self.t_checksum = self.t_demux = self.t_handler = 0.0
         self.n_defrag = self.n_checksum = self.n_demux = self.n_handler = 0
         STAGES.attach(self)
-
-    def recompile(self) -> None:
-        """Re-read the host's profile flags (after an explicit mutation)."""
-        self.drops_fragments = self.host.profile.drops_fragments
 
     # ----------------------------------------------------------- fast paths
     def deliver(self, packet: IPv4Packet) -> None:
@@ -245,7 +240,7 @@ class HostDatapath:
                 ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
             )
 
-    # -------------------------------------------------------- burst entries
+    # ---------------------------------------------------------- burst entry
     def deliver_parsed(
         self,
         packet: IPv4Packet,
@@ -254,89 +249,22 @@ class HostDatapath:
     ) -> None:
         """Delivery of a packet the burst engine already parsed and verified.
 
-        Called by :class:`~repro.netsim.burst.DeliveryBurst` for
-        unfragmented UDP packets whose header fields came out of the
-        batched word-sum pass and whose checksum that pass accepted:
-        header unpack, length checks and the scalar checksum arithmetic
-        are all skipped.  The remaining semantics — tap, defrag sweep,
-        stats, port demux, handler/inbox — are exactly those of
-        :meth:`deliver` (pinned by the burst property tests).
-        """
-        if STAGES.enabled:
-            return self._deliver_parsed_timed(packet, src_port, dst_port)
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if self.defrag_buckets:
-            self.defrag.purge_expired(self.simulator._now)
-        self.stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        payload = packet.payload[UDP_HEADER_LEN:]
-        handler = socket.on_datagram
-        if handler is not None:
-            handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
+        For unfragmented UDP packets whose header fields came out of
+        :class:`~repro.netsim.burst.DeliveryBurst`'s flat verify pass and
+        whose checksum that pass accepted: header unpack, length checks
+        and the scalar checksum arithmetic are all skipped.  The remaining
+        semantics — tap, defrag sweep, stats, port demux, handler/inbox —
+        are exactly those of :meth:`deliver` (pinned by the burst property
+        tests).
 
-    def deliver_run(
-        self,
-        packets: list,
-        src_port: int,
-        dst_port: int,
-    ) -> bool:
-        """Hand a consecutive run of pre-verified same-source datagrams to
-        the destination socket's burst handler as one call.
-
-        Returns False — without delivering anything — when the run cannot
-        take the burst shape (no burst handler installed, socket missing or
-        closed, a packet tap that must observe arrivals interleaved with
-        handling); the caller then falls back to per-packet
-        :meth:`deliver_parsed`.  When it returns True the whole run was
-        delivered: observably equivalent to N sequential deliveries
-        *provided* the installed burst handler keeps the socket-level
-        equivalence promise (see
-        :attr:`repro.netsim.sockets.UDPSocket.on_datagram_burst`).
-
-        Deliberately uninstrumented: while ``repro.perf.STAGES`` collection
-        is enabled the delivery bursts skip this handoff and dispatch the
-        run per-packet through the timed twins, so the demux/handler time
-        a one-call burst handler would hide stays attributed (results are
-        identical either way — the two shapes are equivalence-pinned).
-        """
-        if self.host.packet_tap is not None:
-            return False
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return False
-        handler = socket.on_datagram_burst
-        if handler is None or socket.on_datagram is None:
-            # No burst handler — or an inbox-mode socket, whose datagrams
-            # must queue individually exactly as per-packet delivery would.
-            return False
-        if self.defrag_buckets:
-            # Idempotent at a fixed instant: the N-th sweep of a sequential
-            # delivery removes nothing the first did not.
-            self.defrag.purge_expired(self.simulator._now)
-        self.stats.udp_received += len(packets)
-        src_ip = packets[0].src
-        handler([p.payload[UDP_HEADER_LEN:] for p in packets], src_ip, src_port)
-        return True
-
-    def _deliver_parsed_timed(
-        self, packet: IPv4Packet, src_port: int, dst_port: int
-    ) -> None:
-        """Stage-attributing twin of :meth:`deliver_parsed`.
-
-        The checksum stage is *not* bumped here — the vectorised verify
-        already attributed itself to ``burst_drain`` — so the stage table
-        of an instrumented run reads: ``checksum`` is the scalar verifies
-        still performed packet-by-packet, ``burst_drain`` the batched
-        bookkeeping that replaced the rest.
+        The burst drain inlines this body on its untimed path and calls
+        the method only while ``repro.perf.STAGES`` collection is enabled,
+        so it attributes per-stage wall time like :meth:`_deliver_timed`.
+        The checksum stage is *not* bumped here — the flat verify already
+        attributed itself to ``burst_drain`` — so the stage table of an
+        instrumented run reads: ``checksum`` is the scalar verifies still
+        performed packet-by-packet, ``burst_drain`` the batched bookkeeping
+        that replaced the rest.
         """
         host = self.host
         tap = host.packet_tap

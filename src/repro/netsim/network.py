@@ -452,7 +452,7 @@ class Network:
         the same instant are pushed as one
         :class:`~repro.netsim.burst.DeliveryBurst` entry (capped at
         :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` packets), whose
-        drain verifies UDP checksums in a single vectorised pass — which
+        drain verifies UDP checksums in a single flat pass — which
         is what makes an injected spray cost one heap push instead of N.
         Callers that need the per-packet entry shape (anything that mixes
         bounded ``run(max_events=...)`` stepping with exact event counts)

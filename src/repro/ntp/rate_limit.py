@@ -14,6 +14,11 @@ the client eventually declares the server unreachable.  This module
 implements the token-bucket-style accounting that produces that behaviour,
 and is shared by real servers, the synthetic pool population, and the
 rate-limit scanner of section VII-A.
+
+Every query is accounted on its own through :meth:`RateLimiter.check`.  The
+attack needs only a trickle (one spoofed query every couple of seconds per
+server), so a server never sees a same-source flood in one instant that
+bulk accounting could absorb.
 """
 
 from __future__ import annotations
@@ -35,29 +40,6 @@ class RateLimitDecision(Enum):
 _RESPOND = RateLimitDecision.RESPOND
 _KOD = RateLimitDecision.KOD
 _DROP = RateLimitDecision.DROP
-
-
-@dataclass(slots=True)
-class BurstOutcome:
-    """Decision summary for N same-instant queries from one source.
-
-    With a non-negative query cost the accumulated score is monotone
-    within a same-instant burst, so the per-arrival decisions are always
-    front-loaded: arrival ``k`` (0-based) gets ``RESPOND`` for
-    ``k < responds``, ``KOD`` for ``k == responds`` when ``kod`` is true,
-    and ``DROP`` otherwise.  ``drops`` counts the ``DROP`` decisions
-    (``n - responds``, minus one when a KoD was issued), mirroring what a
-    server's per-query loop would have tallied.
-    """
-
-    responds: int
-    kod: bool
-    drops: int
-
-    @property
-    def denied(self) -> int:
-        """Arrivals denied service (KoD included — it is not an answer)."""
-        return self.drops + (1 if self.kod else 0)
 
 
 @dataclass(slots=True)
@@ -132,70 +114,6 @@ class RateLimiter:
             self.kods_sent += 1
             return _KOD
         return _DROP
-
-    def consume_burst(self, source_ip: str, n: int, now: float) -> BurstOutcome:
-        """Account for ``n`` same-instant queries from one source at once.
-
-        Exactly equivalent to ``n`` sequential :meth:`check` calls at the
-        same ``now`` (property-pinned): same decisions in the same order,
-        same final bucket state bit-for-bit, same aggregate counters.  The
-        bucket *drain* is fast-forwarded in closed form — arrivals after
-        the first have zero elapsed time, so one subtraction covers the
-        whole burst — but the admit count deliberately comes from a tight
-        accumulation loop rather than ``(tolerance - score) / cost``:
-        :meth:`check` builds the score by repeated float addition, and a
-        closed-form multiplication rounds differently right at the
-        tolerance boundary, which would make switching a flow from
-        per-query to burst accounting observable.  The loop is pure float
-        adds with none of check's per-call dict/enum/state machinery, which
-        is where the bulk win comes from (see the
-        ``limiter_burst_ops_per_sec`` microbenchmark).
-
-        Requires a non-negative ``average_interval`` (a negative cost makes
-        in-burst decisions non-monotone, which :class:`BurstOutcome` cannot
-        represent).
-        """
-        if n <= 0:
-            return BurstOutcome(0, False, 0)
-        cost = self.average_interval
-        if cost < 0.0:
-            raise ValueError(
-                f"consume_burst requires average_interval >= 0, got {cost}"
-            )
-        self.queries_seen += n
-        if not self.enabled:
-            return BurstOutcome(n, False, 0)
-        sources = self.sources
-        state = sources.get(source_ip)
-        if state is None:
-            state = sources[source_ip] = _SourceState(last_seen=now)
-        # Closed-form drain fast-forward: only the first arrival sees a
-        # non-zero elapsed time, so the whole burst drains once.
-        elapsed = now - state.last_seen
-        score = state.score
-        if elapsed > 0.0:
-            score -= elapsed
-            if score < 0.0:
-                score = 0.0
-        tolerance = self.burst_tolerance
-        responds = 0
-        for _ in range(n):
-            score += cost
-            if score <= tolerance:
-                responds += 1
-        state.score = score
-        state.last_seen = now
-        denied = n - responds
-        if denied == 0:
-            return BurstOutcome(n, False, 0)
-        state.drops += denied
-        self.queries_dropped += denied
-        kod = False
-        if self.send_kod and not state.kod_sent:
-            state.kod_sent = True
-            self.kods_sent += 1
-            kod = True
-        return BurstOutcome(responds, kod, denied - (1 if kod else 0))
 
     def is_limited(self, source_ip: str, now: float) -> bool:
         """True when ``source_ip`` would currently be denied service."""

@@ -1,4 +1,4 @@
-"""Unit tests for the burst engine: simulator entries, delivery, handlers."""
+"""Unit tests for the burst engine: simulator entries and packet delivery."""
 
 from __future__ import annotations
 
@@ -211,87 +211,16 @@ class TestTransmitBurstDelivery:
                 assert network.host(packet.dst).stats.udp_received == 1
 
 
-def build_server(rate_limiting: bool = True, respond_probability: float = 1.0):
-    sim = Simulator(seed=9)
-    network = Network(sim)
-    host = network.add_host("server", "203.0.113.5")
-    config = NTPServerConfig(
-        rate_limiting=rate_limiting,
-        send_kod=True,
-        average_interval=8.0,
-        burst_tolerance=16.0,
-        respond_probability=respond_probability,
-    )
-    server = NTPServer(host, sim, config=config)
-    return sim, network, server
-
-
-def query_payloads(sim, n):
-    wire = NTPPacket.client_query_wire(sim.now)
-    return [wire for _ in range(n)]
-
-
-class TestServerBurstHandler:
-    def test_burst_equivalent_to_sequential(self):
-        sim_a, _, server_a = build_server()
-        sim_b, _, server_b = build_server()
-        src = "192.0.2.77"
-        payloads = query_payloads(sim_a, 7)
-        for payload in payloads:
-            server_a._on_packet(payload, src, 123)
-        server_b._on_packet_burst(list(payloads), src, 123)
-        for name in (
-            "queries_received",
-            "responses_sent",
-            "kods_sent",
-            "queries_dropped",
-        ):
-            assert getattr(server_a.stats, name) == getattr(server_b.stats, name), name
-        state_a = server_a.rate_limiter.sources[src]
-        state_b = server_b.rate_limiter.sources[src]
-        assert (state_a.score, state_a.last_seen, state_a.kod_sent, state_a.drops) == (
-            state_b.score,
-            state_b.last_seen,
-            state_b.kod_sent,
-            state_b.drops,
-        )
-        # The same responses went on the wire in the same order.
-        assert sim_a.pending() == sim_b.pending()
-
-    def test_heterogeneous_burst_falls_back_to_sequential(self):
-        sim, _, server = build_server()
-        src = "192.0.2.78"
-        payloads = query_payloads(sim, 3) + [b"\x06" + b"\x00" * 47]  # mode 6
-        server._on_packet_burst(payloads, src, 123)
-        assert server.stats.queries_received == 3  # mode 6 not counted
-
-    def test_probabilistic_responder_falls_back(self):
-        sim_a, _, server_a = build_server(respond_probability=0.5)
-        sim_b, _, server_b = build_server(respond_probability=0.5)
-        src = "192.0.2.79"
-        payloads = query_payloads(sim_a, 10)
-        for payload in payloads:
-            server_a._on_packet(payload, src, 123)
-        server_b._on_packet_burst(list(payloads), src, 123)
-        # Identically seeded worlds: the fallback must consume the RNG in
-        # the same per-query order, so the outcomes match exactly.
-        assert server_a.stats.responses_sent == server_b.stats.responses_sent
-        assert server_a.stats.queries_dropped == server_b.stats.queries_dropped
-
-
 class TestInboxModeSocketKeepsPerPacketDelivery:
-    def test_burst_handler_not_used_when_on_datagram_is_none(self):
-        """An inbox-mode socket (no on_datagram) must queue datagrams
-        individually even when a burst handler is installed — delivery
-        semantics cannot depend on heap-entry shape."""
+    def test_inbox_socket_queues_each_burst_datagram(self):
+        """An inbox-mode socket (no on_datagram) queues every datagram of
+        a same-flow burst individually — delivery semantics cannot depend
+        on heap-entry shape."""
         sim = Simulator(seed=8)
         network = Network(sim)
         network.add_host("sender", "192.0.2.60")
         receiver = network.add_host("receiver", "203.0.113.20")
         socket = receiver.bind(4000)  # inbox mode
-        socket.on_datagram_burst = lambda payloads, src, port: (_ for _ in ()).throw(
-            AssertionError("burst handler must not fire for inbox sockets")
-        )
         payload = encode_udp(
             "192.0.2.60", "203.0.113.20", UDPDatagram(5000, 4000, b"q" * 20)
         )
@@ -304,10 +233,9 @@ class TestInboxModeSocketKeepsPerPacketDelivery:
 
 
 class TestFloodThroughBurstEngine:
-    def test_same_destination_flood_uses_burst_handler(self):
-        """End to end: a spoofed same-(src,dst) flood reaches the server's
-        burst handler via run detection and produces the exact outcomes of
-        singular delivery."""
+    def test_same_destination_flood_matches_singular_delivery(self):
+        """End to end: a spoofed same-(src,dst) flood through one delivery
+        burst produces the exact outcomes of singular delivery."""
 
         def run_flood(use_burst: bool):
             sim = Simulator(seed=5)

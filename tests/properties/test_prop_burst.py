@@ -1,6 +1,6 @@
 """Property tests pinning the burst engine to the singular paths.
 
-Three pinned equivalences:
+Two pinned equivalences:
 
 * ``Network.transmit_burst`` must be *logically* event-for-event
   equivalent to N single ``transmit`` calls under a fixed seed — same
@@ -9,13 +9,8 @@ Three pinned equivalences:
   (same-instant groups coalesce into one burst entry).  Its seeded
   worlds and generated send plans are shared with the fault properties
   (``test_prop_faults``).
-* ``RateLimiter.consume_burst(source, n, now)`` must match ``n``
-  sequential ``check()`` calls bit-for-bit: decisions in order, final
-  bucket state, and every aggregate counter, across token levels, refill
-  boundaries and fractional rates.
-* The burst checksum verify (both the flat arithmetic pass and the numpy
-  stacked pass) must accept/reject exactly the packets the scalar
-  word-sum fold accepts/rejects, byte-for-byte.
+* The burst's flat checksum verify must accept/reject exactly the
+  packets the scalar word-sum fold accepts/rejects, byte-for-byte.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.network import Link, Network
 from repro.netsim.udp import UDPDatagram, encode_udp, udp_checksum_arith
-from repro.ntp.rate_limit import RateLimitDecision, RateLimiter
 
 HOST_IPS = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
 UNKNOWN_IP = "172.16.0.9"
@@ -178,98 +172,6 @@ class TestTransmitBurstEquivalence:
         assert state_a == state_b
 
 
-# ------------------------------------------------------------- rate limiter
-def limiter_pair(average_interval, burst_tolerance, send_kod, enabled):
-    return (
-        RateLimiter(
-            average_interval=average_interval,
-            burst_tolerance=burst_tolerance,
-            send_kod=send_kod,
-            enabled=enabled,
-        ),
-        RateLimiter(
-            average_interval=average_interval,
-            burst_tolerance=burst_tolerance,
-            send_kod=send_kod,
-            enabled=enabled,
-        ),
-    )
-
-
-def limiter_state(limiter: RateLimiter, source: str):
-    state = limiter.sources.get(source)
-    return (
-        limiter.queries_seen,
-        limiter.queries_dropped,
-        limiter.kods_sent,
-        None
-        if state is None
-        else (state.last_seen, state.score, state.kod_sent, state.drops),
-    )
-
-
-#: Rates chosen to exercise integer buckets, fractional accumulation that
-#: rounds at the tolerance boundary, and the zero-cost edge.
-rates = st.sampled_from([8.0, 2.0, 0.1, 1.0 / 3.0, 0.0, 7.77])
-tolerances = st.sampled_from([100.0, 10.0, 1.0, 0.3, 0.0])
-#: Arrival plan: (gap seconds before the burst, burst size).
-bursts = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-        st.integers(min_value=1, max_value=40),
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-class TestConsumeBurstPinnedToSequential:
-    @given(rates, tolerances, st.booleans(), st.booleans(), bursts)
-    @settings(max_examples=200, deadline=None)
-    def test_consume_burst_matches_n_sequential_consumes(
-        self, rate, tolerance, send_kod, enabled, plan
-    ):
-        source = "192.0.2.200"
-        bulk, sequential = limiter_pair(rate, tolerance, send_kod, enabled)
-        now = 0.0
-        for gap, n in plan:
-            now += gap
-            outcome = bulk.consume_burst(source, n, now)
-            decisions = [sequential.check(source, now) for _ in range(n)]
-
-            # Decision layout: RESPOND × responds, then at most one KOD,
-            # then DROPs — and the counts must match exactly.
-            expected = [RateLimitDecision.RESPOND] * outcome.responds
-            if outcome.kod:
-                expected.append(RateLimitDecision.KOD)
-            expected.extend([RateLimitDecision.DROP] * outcome.drops)
-            assert decisions == expected
-
-            # Bucket state and aggregate counters must match bit-for-bit:
-            # switching a flow from per-query to burst accounting must not
-            # perturb any later decision.
-            assert limiter_state(bulk, source) == limiter_state(sequential, source)
-
-    @given(rates, tolerances, bursts)
-    @settings(max_examples=100, deadline=None)
-    def test_consume_burst_interleaves_with_checks(self, rate, tolerance, plan):
-        """Bursts and singular checks mix freely on one limiter."""
-        source = "203.0.113.77"
-        bulk, sequential = limiter_pair(rate, tolerance, True, True)
-        now = 0.0
-        for index, (gap, n) in enumerate(plan):
-            now += gap
-            if index % 2 == 0:
-                bulk.consume_burst(source, n, now)
-                for _ in range(n):
-                    sequential.check(source, now)
-            else:
-                for _ in range(n):
-                    bulk.check(source, now)
-                sequential.consume_burst(source, n, now)
-            assert limiter_state(bulk, source) == limiter_state(sequential, source)
-
-
 # ---------------------------------------------------------- burst checksums
 def burst_world(count: int, corrupt_mask: int, payload_seed: int):
     """A star topology: one sender, ``count`` receivers, crafted packets."""
@@ -318,36 +220,3 @@ class TestBurstChecksumPinnedToScalar:
                 assert info == (src_port, dst_port)
             else:
                 assert info is None
-
-    @given(
-        st.integers(min_value=2, max_value=10),
-        st.integers(min_value=0, max_value=0x3FF),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_stacked_pass_matches_flat_pass(self, count, corrupt_mask):
-        """The numpy stacked pass and the flat big-int pass are one fold.
-
-        Uniform-size bursts only (the stacked pass's precondition); the
-        threshold is bypassed by calling the passes directly.
-        """
-        simulator = Simulator(seed=4)
-        network = Network(simulator)
-        src = "10.8.8.1"
-        network.add_host("sender", src)
-        items = []
-        for index in range(count):
-            dst = f"10.8.9.{index + 1}"
-            network.add_host(f"r{index}", dst)
-            body = bytes((index * 13 + offset) & 0xFF for offset in range(40))
-            checksum_src = "9.9.9.9" if corrupt_mask & (1 << index) else src
-            payload = encode_udp(checksum_src, dst, UDPDatagram(123, 123, body))
-            items.append(
-                (network.pipeline_for(src, dst), IPv4Packet.udp(src, dst, payload, index))
-            )
-        stacked = DeliveryBurst._verify_stacked(items)
-        flat = DeliveryBurst._verify_flat(items)
-        assert stacked is not None
-        if flat is None:  # nothing verified: the flat pass signals it as None
-            assert all(info is None for info in stacked)
-        else:
-            assert stacked == flat
