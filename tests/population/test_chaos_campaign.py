@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
@@ -112,6 +114,41 @@ class TestRunCampaign:
         assert "calm" in text and "storm" in text
         assert "east ok" in text and "west ok" in text
         assert len(text.splitlines()) == 6  # title + header + rule + 3 rows
+
+
+class TestCheckpointIndependence:
+    def test_extra_checkpoints_do_not_change_shared_ones(self, tmp_path, campaign_store):
+        # A 25 s cadence adds seven checkpoints to the tiny plan, two of
+        # them before the 60 s warmup ends.  Reading the fleet at those
+        # instants must not change what the 100, 200 and 250 s
+        # checkpoints see.
+        _store, campaign = campaign_store
+        dense = replace(
+            tiny_plan(),
+            horizon=CampaignHorizon(duration=250.0, checkpoint_every=25.0),
+        )
+        assert len(dense.checkpoints()) == 10
+        dense_campaign = run_chaos_campaign(
+            RunStore(str(tmp_path)),
+            "tiny-dense",
+            tiny_spec(),
+            dense,
+            seed=3,
+            runner=ExperimentRunner(max_workers=1),
+        )
+
+        def by_until(entries):
+            return {
+                entry["until"]: {
+                    key: value for key, value in entry.items() if key != "checkpoint"
+                }
+                for entry in entries
+            }
+
+        sparse = by_until(campaign["checkpoints"])
+        dense_entries = by_until(dense_campaign["checkpoints"])
+        for until in (100.0, 200.0, 250.0):
+            assert dense_entries[until] == sparse[until]
 
 
 class TestResume:
