@@ -167,7 +167,13 @@ class RunTimeAttack:
             self.remover.stop()
         if callable(self._stop_refid):
             self._stop_refid()
-        self._result = RunTimeAttackResult(
+        self._result = self.snapshot(success, duration)
+
+    def snapshot(
+        self, success: bool, duration: Optional[float]
+    ) -> RunTimeAttackResult:
+        """The attack's result as it stands now, without stopping it."""
+        return RunTimeAttackResult(
             scenario=self.scenario,
             client_name=self.victim.client_name,
             success=success,

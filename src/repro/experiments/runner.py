@@ -353,9 +353,11 @@ class ExperimentRunner:
         ``1`` forces in-process serial execution (no pickling requirements
         at all) unless ``run_timeout`` is set.  ``None`` uses
         ``os.cpu_count()``.  Anything larger than 1 uses a
-        ``ProcessPoolExecutor``; if the pool cannot be created or a
-        submission fails to pickle, the runner falls back to serial
-        execution rather than failing the sweep.
+        ``ProcessPoolExecutor``, even for a single remaining spec (so a
+        chaos campaign's one pass runs in a worker, not in the driver);
+        if the pool cannot be created or a submission fails to pickle,
+        the runner falls back to serial execution rather than failing
+        the sweep.
     collect_stage_stats:
         When true, each run collects the per-stage decode/encode and
         delivery-pipeline wall-time counters of :mod:`repro.perf` and
@@ -377,10 +379,9 @@ class ExperimentRunner:
         stalled chunk fails (or retries) with kind ``"timeout"``, the
         other in-flight chunks are requeued unharmed and a fresh pool
         takes over; pass ``chunk_size=1`` for strict per-run deadlines.
-        A timed sweep never runs in-process: where it would otherwise run
-        serially (``max_workers=1`` or a single remaining spec) it goes
-        through the pool anyway — a one-worker pool for ``max_workers=1``
-        — one run per task, so every deadline is per-run.
+        A timed sweep never runs in-process: with ``max_workers=1`` it
+        goes through a one-worker pool, one run per task, so every
+        deadline is per-run.
     retry:
         A :class:`RetryPolicy`; ``None`` disables retries.  Failed runs of
         a kind in ``retry_on`` re-execute (scenarios are pure functions of
@@ -495,8 +496,6 @@ class ExperimentRunner:
         store: Any,
         sweep_id: str,
         specs: Optional[Sequence[RunSpec]] = None,
-        *,
-        finish: bool = True,
     ) -> list[RunOutcome]:
         """Continue a store-backed sweep from its recorded outcomes.
 
@@ -518,9 +517,7 @@ class ExperimentRunner:
             )
         writer = store.open_sweep(sweep_id)
         self.last_sweep_id = sweep_id
-        return self._run_through_store(
-            store, sweep_id, specs, writer, done, finish=finish
-        )
+        return self._run_through_store(store, sweep_id, specs, writer, done)
 
     def _run_through_store(
         self,
@@ -568,7 +565,7 @@ class ExperimentRunner:
                 self.on_progress, self.progress_interval, len(specs), len(results)
             )
             try:
-                serial = self.max_workers == 1 or len(remaining) <= 1
+                serial = self.max_workers == 1 or not remaining
                 if serial and self.run_timeout is None:
                     self.last_execution_mode = "serial"
                     self._run_serial(remaining, results, writer, progress, deadline)

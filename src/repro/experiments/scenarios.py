@@ -299,33 +299,16 @@ def population_landscape(
     return result
 
 
-@scenario("population_chaos")
-def population_chaos(
-    spec_json: str = "",
-    plan_json: str = "",
-    seed: int = 0,
-    until: float = 0.0,
-    checkpoint: int = 0,
-    detail_limit: int = 0,
-) -> dict[str, Any]:
-    """One chaos-campaign checkpoint: the fleet simulated over ``[0, until]``.
-
-    ``plan_json`` is the canonical serialisation of a
-    :class:`~repro.population.chaos.ChaosPlan`; the plan compiles purely
-    into per-client fault schedules before the fleet runs, so the result
-    is a pure function of the parameters — which is what lets
-    ``run_chaos_campaign`` resume a killed campaign bit-identically.
-    ``checkpoint`` is the ordinal within the campaign (carried through to
-    the stored record; the simulation ignores it).
+@scenario("chaos_campaign_pass")
+def chaos_campaign_pass(
+    root: str, sweep_id: str, driver_pid: int, segment_bytes: int
+) -> int:
+    """One stored chaos campaign as one fleet pass (see
+    :func:`~repro.population.chaos.run_campaign_pass`); returns the number
+    of checkpoint records appended to sweep ``sweep_id`` under ``root``.
     """
-    from repro.population.chaos import ChaosPlan, plan_from_json, run_chaos_checkpoint
-    from repro.population.fleet import spec_from_json
-    from repro.population.spec import PopulationSpec
+    from repro.experiments.store import RunStore
+    from repro.population.chaos import run_campaign_pass
 
-    spec = spec_from_json(spec_json) if spec_json else PopulationSpec()
-    plan = plan_from_json(plan_json) if plan_json else ChaosPlan()
-    result = run_chaos_checkpoint(
-        spec, plan, seed=seed, until=until, detail_limit=detail_limit
-    )
-    result["checkpoint"] = checkpoint
-    return result
+    store = RunStore(root, segment_bytes=segment_bytes)
+    return run_campaign_pass(store, sweep_id, driver_pid)

@@ -21,17 +21,16 @@ compiles to **no** schedules at all — the fleet run is then bit-identical
 to the same spec without chaos (pinned by
 ``tests/population/test_chaos_fleet.py``).
 
-Campaigns execute as **prefix re-simulations**: checkpoint ``k`` is one
-pure ``population_chaos`` run spec simulating ``[0, t_k]`` from scratch
-with every phase swap scheduled up front.  Each checkpoint is therefore
-an independent, retryable, bit-reproducible unit, and
-:func:`run_chaos_campaign` simply drives the list through
-:meth:`~repro.experiments.runner.ExperimentRunner.run_stored` — a SIGINT
-or ``kill -9`` mid-phase loses at most the in-flight checkpoint, and
-:func:`resume_chaos_campaign` replays only the unfinished tail, crossing
-store segment rolls untouched.  The final checkpoint *is* the campaign's
-end state; intermediate ones are the degradation timeline
-(:func:`repro.measurement.report.degradation_report`).
+A campaign runs as **one pass over one fleet**
+(:func:`run_campaign_pass`): one :class:`~repro.population.fleet.Fleet`
+with every phase swap scheduled up front advances through the
+checkpoints, and each checkpoint's outcome lands in an fsynced store
+segment as the clock reaches it.  A read leaves the fleet running, so
+checkpoint ``k`` equals a fresh fleet run to ``t_k``; one before the
+warmup ends reads the unattacked fleet.  A SIGINT or ``kill -9`` loses
+at most the open checkpoint, and :func:`resume_chaos_campaign` replays
+the fleet, appending only the missing ones.  The checkpoints are the
+degradation timeline (:func:`repro.measurement.report.degradation_report`).
 
 ``python -m repro.population.chaos`` runs the smoke campaign
 (``make chaos-campaign``): a small fleet, two phases, one partitioned
@@ -49,6 +48,7 @@ from functools import lru_cache
 from typing import Any, Mapping, Optional, Union
 
 from repro.netsim.faults import FaultSchedule
+from repro.perf import STAGES, perf_counter
 from repro.population.generate import _draw_mix
 from repro.population.spec import (
     BUILTIN_FAULT_REGIMES,
@@ -232,7 +232,7 @@ class ChaosPlan:
         if cadence > 0:
             # Ticks are k * cadence, not a drifting running sum.  A tick
             # within 1e-9 s of a phase boundary or the horizon is the same
-            # instant, and every checkpoint costs a full re-simulation.
+            # instant, not a second checkpoint.
             fixed = tuple(times)
             k = 1
             while (tick := k * cadence) < total:
@@ -277,34 +277,31 @@ class ChaosPlan:
         if unknown:
             raise ChaosError(f"unknown chaos plan fields: {sorted(unknown)}")
         kwargs: dict[str, Any] = {}
-        if "groups" in document:
-            try:
+        try:
+            if "groups" in document:
                 kwargs["groups"] = tuple(
                     CorrelationGroup(str(name), float(weight))
                     for name, weight in document["groups"]
                 )
-            except (TypeError, ValueError) as exc:
-                raise ChaosError(
-                    f"chaos groups must be (name, weight) pairs: "
-                    f"{document['groups']!r}"
-                ) from exc
-        if "regimes" in document:
-            kwargs["regimes"] = tuple(
-                FaultRegimeSpec(**dict(r)) for r in document["regimes"]
-            )
-        if "phases" in document:
-            kwargs["phases"] = tuple(
-                ChaosPhase(
-                    name=str(p["name"]),
-                    duration=float(p["duration"]),
-                    regimes=tuple(
-                        (g, r) for g, r in p.get("regimes", ())
-                    ),
+            if "regimes" in document:
+                kwargs["regimes"] = tuple(
+                    FaultRegimeSpec(**dict(r)) for r in document["regimes"]
                 )
-                for p in document["phases"]
-            )
-        if "horizon" in document:
-            kwargs["horizon"] = CampaignHorizon(**dict(document["horizon"]))
+            if "phases" in document:
+                kwargs["phases"] = tuple(
+                    ChaosPhase(
+                        name=str(p["name"]),
+                        duration=float(p["duration"]),
+                        regimes=tuple((g, r) for g, r in p.get("regimes", ())),
+                    )
+                    for p in document["phases"]
+                )
+            if "horizon" in document:
+                kwargs["horizon"] = CampaignHorizon(**dict(document["horizon"]))
+        except ChaosError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ChaosError(f"malformed chaos plan: {exc!r}") from exc
         return cls(**kwargs)
 
     def to_json(self) -> str:
@@ -458,44 +455,19 @@ def compile_chaos(plan: ChaosPlan, size: int, seed: int) -> ChaosCompilation:
 
 
 # ------------------------------------------------------------------ campaign
-def run_chaos_checkpoint(
-    spec: PopulationSpec,
-    plan: ChaosPlan,
-    seed: int,
-    until: float = 0.0,
-    detail_limit: int = 0,
-) -> dict[str, Any]:
-    """One pure prefix re-simulation of the campaign: ``[0, until]``.
-
-    ``until <= 0`` runs the fleet's natural length (bit-identical to a
-    chaos-free :func:`~repro.population.fleet.run_fleet` when the plan is
-    inert).  The result document carries the fleet payload plus the
-    chaos surface: ``groups`` (per-group success + fault counters),
-    ``fault_stats``, ``plan_digest``, ``until`` and ``phase``.
-    """
-    from repro.population.fleet import run_fleet
-
-    compilation = compile_chaos(plan, spec.size, seed)
-    document = run_fleet(
-        spec,
-        seed=seed,
-        detail_limit=detail_limit,
-        run_until=until if until > 0 else None,
-        link_schedules=compilation.schedules or None,
-        group_of=compilation.group_of if plan.groups else None,
-    )
-    document["plan_digest"] = plan.digest()
-    document["until"] = float(until)
-    document["phase"] = plan.phase_at(max(until - 1e-9, 0.0)) if until > 0 else ""
-    return document
+PASS_SCENARIO = "chaos_campaign_pass"
+#: Result fields a checkpoint contributes to the campaign summary.
+SUMMARY_FIELDS = (
+    "phase", "successes", "success_rate", "size", "fault_stats", "groups", "aggregate"
+)
 
 
 def campaign_specs(spec: PopulationSpec, plan: ChaosPlan, seed: int) -> list:
     """The campaign's checkpoint run specs, in checkpoint order.
 
-    Checkpoint ``k`` simulates ``[0, t_k]`` from scratch — each spec is an
-    independent pure unit, which is exactly what makes the campaign
-    resumable at checkpoint granularity through the store.
+    The manifest freezes them as the keys of the checkpoint records;
+    nothing executes them (:func:`run_campaign_pass` produces every
+    checkpoint).  ``until=0`` means the fleet's natural end.
     """
     from repro.experiments.runner import RunSpec
 
@@ -515,71 +487,130 @@ def campaign_specs(spec: PopulationSpec, plan: ChaosPlan, seed: int) -> list:
     ]
 
 
-def _campaign_summary(
-    name: str,
-    sweep_id: Optional[str],
-    spec: PopulationSpec,
-    plan: ChaosPlan,
-    seed: int,
-    outcomes: list,
+def run_campaign_pass(store: Any, sweep_id: str, driver_pid: int) -> int:
+    """Advance one fleet through a stored campaign's checkpoints, appending
+    each one not stored yet (with its own segment's stage snapshot while
+    stage collection is on); returns the number appended.  Before each
+    append it checks that ``driver_pid`` is this process or its parent,
+    so a worker orphaned by a killed driver stops instead of racing a
+    resume.
+    """
+    from repro.experiments.runner import RunOutcome
+    from repro.population.fleet import Fleet
+
+    specs = store.specs(sweep_id)
+    done = store.load_outcomes(sweep_id, specs)
+    missing = [index for index in range(len(specs)) if index not in done]
+    if not missing:
+        return 0
+    started = perf_counter()
+    params = specs[0].kwargs()
+    spec = PopulationSpec.from_json(params["spec_json"])
+    plan = plan_from_json(params["plan_json"])
+    compilation = compile_chaos(plan, spec.size, params["seed"])
+    fleet = Fleet(
+        spec,
+        params["seed"],
+        link_schedules=compilation.schedules,
+        group_of=compilation.group_of if plan.groups else None,
+    )
+    writer = None
+    try:
+        for index in range(missing[-1] + 1):
+            until = specs[index].kwargs()["until"]
+            fleet.advance_to(until if until > 0 else fleet.natural_end)
+            if index in done:
+                continue
+            document = fleet.document(detail_limit=0)
+            document["plan_digest"] = plan.digest()
+            document["until"] = until
+            document["phase"] = (
+                plan.phase_at(max(until - 1e-9, 0.0)) if until > 0 else ""
+            )
+            document["checkpoint"] = index
+            wall = perf_counter() - started
+            stages = STAGES.snapshot(wall) if STAGES.enabled else None
+            if driver_pid not in (os.getpid(), os.getppid()):
+                raise ChaosError(f"campaign driver {driver_pid} is gone")
+            writer = writer or store.open_sweep(sweep_id)
+            outcome = RunOutcome(specs[index], document, wall, stage_stats=stages)
+            writer.append(index, outcome)
+            if STAGES.enabled:
+                STAGES.reset()
+            started = perf_counter()
+    finally:
+        if writer is not None:
+            writer.close()
+    return len(missing)
+
+
+def _complete_campaign(
+    store: Any, sweep_id: str, name: str, runner: Optional[Any]
 ) -> dict[str, Any]:
+    """Run the pass through ``runner``, append the derived records not
+    stored yet, stamp the sweep ``complete`` (``cancelled`` on SIGINT,
+    ``failed`` on any other pass error) and return the summary.
+    """
+    from repro.experiments.runner import ExperimentRunner, RunSpec, SweepCancelled
+
+    runner = runner or ExperimentRunner(max_workers=1)
+    pass_spec = RunSpec.make(
+        PASS_SCENARIO,
+        root=store.root,
+        segment_bytes=store.segment_bytes,
+        sweep_id=sweep_id,
+        driver_pid=os.getpid(),
+    )
+    try:
+        (outcome,) = runner.run([pass_spec])
+        if not outcome.ok:
+            raise ChaosError(f"campaign pass failed: {outcome.error}")
+    except SweepCancelled:
+        store.finish_sweep(sweep_id, "cancelled")
+        raise
+    except BaseException:
+        store.finish_sweep(sweep_id, "failed")
+        raise
+
+    specs = store.specs(sweep_id)
+    stored = store.load_outcomes(sweep_id, specs)
+    params = specs[0].kwargs()
+    plan = plan_from_json(params["plan_json"])
     checkpoints = []
-    for outcome in outcomes:
-        params = outcome.spec.kwargs()
-        entry: dict[str, Any] = {
-            "checkpoint": params.get("checkpoint"),
-            "until": params.get("until"),
-        }
+    for index, run_spec in enumerate(specs):
+        keys, outcome = run_spec.kwargs(), stored[index]
+        entry = {"checkpoint": keys["checkpoint"], "until": keys["until"]}
         if outcome.ok and isinstance(outcome.result, dict):
-            result = outcome.result
-            entry["phase"] = result.get("phase")
-            entry["successes"] = result.get("successes")
-            entry["success_rate"] = result.get("success_rate")
-            entry["size"] = result.get("size")
-            entry["fault_stats"] = result.get("fault_stats")
-            entry["groups"] = result.get("groups")
-            entry["aggregate"] = result.get("aggregate")
+            entry.update((key, outcome.result.get(key)) for key in SUMMARY_FIELDS)
         else:
             entry["error"] = outcome.error
         checkpoints.append(entry)
-    return {
+    campaign = {
         "kind": "chaos-campaign-summary",
         "name": name,
         "sweep_id": sweep_id,
-        "seed": seed,
-        "spec_digest": spec.digest(),
+        "seed": params["seed"],
+        "spec_digest": PopulationSpec.from_json(params["spec_json"]).digest(),
         "plan_digest": plan.digest(),
         "plan": plan.to_dict(),
         "checkpoints": checkpoints,
     }
-
-
-def _finalise_campaign(
-    store: Any,
-    sweep_id: Optional[str],
-    campaign: dict[str, Any],
-) -> dict[str, Any]:
-    """Write the per-checkpoint aggregates + summary, then stamp complete."""
-    if sweep_id is None:
-        return campaign
-    record = dict(campaign)
-    record["checkpoints"] = [
-        {key: value for key, value in entry.items() if key != "aggregate"}
-        for entry in campaign["checkpoints"]
-    ]
+    cells = [r["cell"] for r in store.kind_records(sweep_id, "chaos-checkpoint")]
     writer = store.open_sweep(sweep_id)
     try:
-        for entry in campaign["checkpoints"]:
+        for entry in checkpoints:
+            cell = {key: entry.get(key) for key in ("checkpoint", "until", "phase")}
             aggregate = entry.get("aggregate")
-            if aggregate is not None:
-                cell = {
-                    key: entry.get(key)
-                    for key in ("checkpoint", "until", "phase")
-                }
-                writer.append_aggregate(
-                    cell, aggregate, kind="chaos-checkpoint"
-                )
-        writer.append_record(record)
+            if aggregate is not None and cell not in cells:
+                writer.append_aggregate(cell, aggregate, kind="chaos-checkpoint")
+        if not store.kind_records(sweep_id, "chaos-campaign-summary"):
+            # The stored summary stays constant-size: aggregates are
+            # their own records.
+            stripped = [
+                {key: value for key, value in entry.items() if key != "aggregate"}
+                for entry in checkpoints
+            ]
+            writer.append_record(dict(campaign, checkpoints=stripped))
     finally:
         writer.close()
     store.finish_sweep(sweep_id, "complete")
@@ -594,22 +625,15 @@ def run_chaos_campaign(
     seed: int = 0,
     runner: Optional[Any] = None,
 ) -> dict[str, Any]:
-    """Drive a full campaign through the durable store, checkpoint by
-    checkpoint.
+    """Run a full campaign through the durable store as one pass.
 
-    The sweep manifest freezes the checkpoint spec list before the first
-    run; every finished checkpoint lands in an fsynced segment; the sweep
-    stays ``running`` until the per-phase aggregates and the
-    ``chaos-campaign-summary`` record are appended — so any crash leaves a
-    resumable sweep (:func:`resume_chaos_campaign`), never a ``complete``
-    one with a missing summary.
+    The manifest freezes the checkpoint specs first, and the sweep stays
+    ``running`` until the summary is stored, so any crash leaves a
+    resumable sweep (:func:`resume_chaos_campaign`).  The pass runs in a
+    worker when ``runner`` has more than one.
     """
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = runner or ExperimentRunner(max_workers=1)
     specs = campaign_specs(spec, plan, seed)
-    outcomes = runner.run_stored(
-        store,
+    writer = store.begin_sweep(
         name,
         specs,
         seed=seed,
@@ -620,12 +644,9 @@ def run_chaos_campaign(
             "plan": plan.to_dict(),
             "checkpoints": [s.kwargs()["until"] for s in specs],
         },
-        finish=False,
     )
-    campaign = _campaign_summary(
-        name, runner.last_sweep_id, spec, plan, seed, outcomes
-    )
-    return _finalise_campaign(store, runner.last_sweep_id, campaign)
+    writer.close()
+    return _complete_campaign(store, writer.sweep_id, name, runner)
 
 
 def resume_chaos_campaign(
@@ -633,25 +654,14 @@ def resume_chaos_campaign(
 ) -> dict[str, Any]:
     """Continue a killed campaign from nothing but its store directory.
 
-    Spec and plan are rebuilt from the manifest's frozen run specs, the
-    finished checkpoints load back (validated), only the unfinished tail
-    re-executes, and the summary is (re)written — the result is identical
-    to an uninterrupted :func:`run_chaos_campaign`.
+    The same pass: the fleet replays from ``t = 0`` and appends only the
+    missing checkpoints, so the result is identical to an uninterrupted
+    :func:`run_chaos_campaign`.
     """
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = runner or ExperimentRunner(max_workers=1)
-    specs = store.specs(sweep_id)
-    if not specs:
+    if not store.specs(sweep_id):
         raise ChaosError(f"sweep {sweep_id!r} has no campaign specs to resume")
-    params = specs[0].kwargs()
-    spec = PopulationSpec.from_json(params["spec_json"])
-    plan = plan_from_json(params["plan_json"])
-    seed = int(params.get("seed", 0))
     name = store.manifest(sweep_id).get("name", sweep_id)
-    outcomes = runner.resume_stored(store, sweep_id, specs, finish=False)
-    campaign = _campaign_summary(name, sweep_id, spec, plan, seed, outcomes)
-    return _finalise_campaign(store, sweep_id, campaign)
+    return _complete_campaign(store, sweep_id, name, runner)
 
 
 def load_campaign(store: Any, sweep_id: str) -> Optional[dict[str, Any]]:
@@ -684,7 +694,6 @@ def smoke_plan() -> ChaosPlan:
 
 def main(argv: Optional[list[str]] = None) -> int:
     """``python -m repro.population.chaos`` — the smoke campaign."""
-    from repro.experiments.runner import ExperimentRunner
     from repro.experiments.store import RunStore
     from repro.measurement.report import degradation_report
     from repro.population.landscape import smoke_spec
@@ -695,7 +704,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--store", default=".chaos_campaign_store")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--resume", default=None, metavar="SWEEP_ID",
         help="continue a killed campaign instead of starting a new one",
@@ -703,17 +711,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     store = RunStore(args.store)
-    runner = ExperimentRunner(max_workers=args.workers)
     if args.resume:
-        campaign = resume_chaos_campaign(store, args.resume, runner=runner)
+        campaign = resume_chaos_campaign(store, args.resume)
     else:
         campaign = run_chaos_campaign(
-            store,
-            "chaos-smoke",
-            smoke_spec(),
-            smoke_plan(),
-            seed=args.seed,
-            runner=runner,
+            store, "chaos-smoke", smoke_spec(), smoke_plan(), seed=args.seed
         )
     print(degradation_report(campaign))
     print(f"\nstored as sweep {campaign['sweep_id']} in {args.store}")
@@ -739,7 +741,7 @@ __all__ = [
     "load_chaos_plan",
     "plan_from_json",
     "resume_chaos_campaign",
+    "run_campaign_pass",
     "run_chaos_campaign",
-    "run_chaos_checkpoint",
     "smoke_plan",
 ]

@@ -9,17 +9,21 @@ import pytest
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import RunStore
 from repro.measurement.report import degradation_report
+from repro.population import fleet as fleet_module
 from repro.population.chaos import (
     CampaignHorizon,
     ChaosPhase,
     ChaosPlan,
     CorrelationGroup,
     campaign_specs,
+    compile_chaos,
     load_campaign,
     resume_chaos_campaign,
     run_chaos_campaign,
 )
+from repro.population.fleet import Fleet
 from repro.population.spec import FaultRegimeSpec, PopulationSpec
+from repro.testbed import build_testbed
 
 
 def tiny_spec() -> PopulationSpec:
@@ -116,26 +120,38 @@ class TestRunCampaign:
         assert len(text.splitlines()) == 6  # title + header + rule + 3 rows
 
 
+def dense_plan() -> ChaosPlan:
+    # The tiny plan at a 25 s cadence: ten checkpoints, the first two
+    # (25 s and 50 s) before the 60 s warmup ends.
+    return replace(
+        tiny_plan(), horizon=CampaignHorizon(duration=250.0, checkpoint_every=25.0)
+    )
+
+
+@pytest.fixture(scope="module")
+def dense_campaign(tmp_path_factory):
+    store = RunStore(str(tmp_path_factory.mktemp("dense")))
+    campaign = run_chaos_campaign(
+        store,
+        "tiny-dense",
+        tiny_spec(),
+        dense_plan(),
+        seed=3,
+        runner=ExperimentRunner(max_workers=1),
+    )
+    return store, campaign
+
+
 class TestCheckpointIndependence:
-    def test_extra_checkpoints_do_not_change_shared_ones(self, tmp_path, campaign_store):
-        # A 25 s cadence adds seven checkpoints to the tiny plan, two of
-        # them before the 60 s warmup ends.  Reading the fleet at those
-        # instants must not change what the 100, 200 and 250 s
+    def test_extra_checkpoints_do_not_change_shared_ones(
+        self, campaign_store, dense_campaign
+    ):
+        # Reading the fleet at seven more instants, two of them before
+        # the warmup ends, must not change what the 100, 200 and 250 s
         # checkpoints see.
         _store, campaign = campaign_store
-        dense = replace(
-            tiny_plan(),
-            horizon=CampaignHorizon(duration=250.0, checkpoint_every=25.0),
-        )
-        assert len(dense.checkpoints()) == 10
-        dense_campaign = run_chaos_campaign(
-            RunStore(str(tmp_path)),
-            "tiny-dense",
-            tiny_spec(),
-            dense,
-            seed=3,
-            runner=ExperimentRunner(max_workers=1),
-        )
+        _dense_store, dense = dense_campaign
+        assert len(dense_plan().checkpoints()) == 10
 
         def by_until(entries):
             return {
@@ -146,9 +162,62 @@ class TestCheckpointIndependence:
             }
 
         sparse = by_until(campaign["checkpoints"])
-        dense_entries = by_until(dense_campaign["checkpoints"])
+        dense_entries = by_until(dense["checkpoints"])
         for until in (100.0, 200.0, 250.0):
             assert dense_entries[until] == sparse[until]
+
+    def test_pre_warmup_checkpoint_reads_the_unattacked_fleet(self, dense_campaign):
+        store, campaign = dense_campaign
+        stored = store.load_outcomes(campaign["sweep_id"])
+        compilation = compile_chaos(dense_plan(), tiny_spec().size, 3)
+        for index, until in enumerate((25.0, 50.0)):
+            fleet = Fleet(
+                tiny_spec(),
+                3,
+                link_schedules=compilation.schedules,
+                group_of=compilation.group_of,
+            )
+            fleet.advance_to(until)
+            assert fleet.attacks == []
+            unattacked = fleet.document(detail_limit=0)
+            result = stored[index].result
+            assert result["until"] == until
+            assert result["successes"] == 0
+            for key, value in unattacked.items():
+                assert result[key] == value, key
+
+
+class TestOneFleet:
+    def test_campaign_and_resume_each_build_one_testbed(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counting_build(config):
+            builds.append(config.seed)
+            return build_testbed(config)
+
+        monkeypatch.setattr(fleet_module, "build_testbed", counting_build)
+        store = RunStore(str(tmp_path))
+        campaign = run_chaos_campaign(
+            store,
+            "tiny",
+            tiny_spec(),
+            tiny_plan(),
+            seed=3,
+            runner=ExperimentRunner(max_workers=1),
+        )
+        assert builds == [3]
+
+        # A campaign killed before its pass stored anything, resumed.
+        writer = store.begin_sweep(
+            "tiny",
+            campaign_specs(tiny_spec(), tiny_plan(), seed=3),
+            sweep_id="killed",
+            seed=3,
+        )
+        writer.close()
+        resumed = resume_chaos_campaign(store, "killed")
+        assert builds == [3, 3]
+        assert resumed["checkpoints"] == campaign["checkpoints"]
 
 
 class TestResume:
@@ -181,9 +250,15 @@ class TestResume:
 
     def test_resume_of_complete_campaign_is_idempotent(self, campaign_store):
         store, campaign = campaign_store
+        kinds = ("chaos-checkpoint", "chaos-campaign-summary")
+        counts = [len(store.kind_records(campaign["sweep_id"], k)) for k in kinds]
         resumed = resume_chaos_campaign(
             store, campaign["sweep_id"], runner=ExperimentRunner(max_workers=1)
         )
         assert resumed["checkpoints"] == campaign["checkpoints"]
         assert store.manifest(campaign["sweep_id"])["status"] == "complete"
         assert store.fsck().ok
+        # Nothing derived is stored twice.
+        assert [
+            len(store.kind_records(campaign["sweep_id"], k)) for k in kinds
+        ] == counts == [3, 1]

@@ -19,13 +19,15 @@ import time
 
 import pytest
 
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunSpec
 from repro.experiments.store import RunStore
 from repro.population.chaos import (
+    PASS_SCENARIO,
     CampaignHorizon,
     ChaosPhase,
     ChaosPlan,
     CorrelationGroup,
+    campaign_specs,
     resume_chaos_campaign,
     run_chaos_campaign,
 )
@@ -176,3 +178,28 @@ class TestCampaignSigkill:
         assert store.fsck().ok
         # The resumed store kept rolling tiny segments the whole way.
         assert len(store._segment_paths(sweep_id)) > len(segments)
+
+
+class TestOneWriter:
+    def test_pass_of_a_foreign_driver_appends_nothing(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        specs = campaign_specs(campaign_spec(), campaign_plan(), seed=3)
+        store.begin_sweep("orphan", specs, sweep_id="orphan", seed=3).close()
+        # A finished child's pid is neither this process nor its parent:
+        # the pass must act like a worker whose driver was killed.
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=30)
+        (outcome,) = ExperimentRunner(max_workers=1).run(
+            [
+                RunSpec.make(
+                    PASS_SCENARIO,
+                    root=store.root,
+                    segment_bytes=store.segment_bytes,
+                    sweep_id="orphan",
+                    driver_pid=child.pid,
+                )
+            ]
+        )
+        assert not outcome.ok
+        assert f"campaign driver {child.pid} is gone" in outcome.error
+        assert store.records("orphan") == []

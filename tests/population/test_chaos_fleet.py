@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.experiments.store import RunStore
 from repro.netsim import Network, Simulator
 from repro.netsim.faults import FaultStats
 from repro.population.chaos import (
@@ -24,9 +25,9 @@ from repro.population.chaos import (
     ChaosPlan,
     CorrelationGroup,
     compile_chaos,
-    run_chaos_checkpoint,
+    run_chaos_campaign,
 )
-from repro.population.fleet import run_fleet
+from repro.population.fleet import Fleet, run_fleet
 from repro.population.spec import FaultRegimeSpec, PopulationSpec
 
 GOLDEN = {
@@ -54,12 +55,16 @@ def baseline_small_run() -> dict:
 
 
 class TestInertBitIdentity:
-    def test_empty_plan_reproduces_golden_run(self):
-        document = run_chaos_checkpoint(DEGENERATE, ChaosPlan(), seed=5)
+    def test_empty_plan_reproduces_golden_run(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        campaign = run_chaos_campaign(store, "empty", DEGENERATE, ChaosPlan(), seed=5)
+        (outcome,) = store.load_outcomes(campaign["sweep_id"]).values()
+        document = outcome.result
+        assert document["until"] == 0.0  # no timeline: the natural end
         assert document["successes"] == 1
         assert document["events_processed"] == GOLDEN["events_processed"]
         assert document["packets_transmitted"] == GOLDEN["packets_transmitted"]
-        assert "clients" not in document  # detail_limit=0: constant payload
+        assert "clients" not in document  # constant-size payload
 
     def test_all_clean_plan_with_groups_is_bit_identical(self):
         # Groups assigned, phases declared, but every phase runs clean:
@@ -70,8 +75,11 @@ class TestInertBitIdentity:
             phases=(ChaosPhase("calm", 400.0), ChaosPhase("still", 400.0)),
             horizon=CampaignHorizon(duration=0.0),
         )
-        assert compile_chaos(plan, 4, seed=3).is_inert
-        document = run_chaos_checkpoint(small_spec(), plan, seed=3)
+        compilation = compile_chaos(plan, 4, seed=3)
+        assert compilation.is_inert
+        fleet = Fleet(small_spec(), 3, group_of=compilation.group_of)
+        fleet.advance_to(fleet.natural_end)
+        document = fleet.document(detail_limit=0)
         baseline = baseline_small_run()
         assert document["events_processed"] == baseline["events_processed"]
         assert document["packets_transmitted"] == baseline["packets_transmitted"]
@@ -84,7 +92,7 @@ class TestInertBitIdentity:
         assert set(document["groups"]) <= {"east", "west"}
         assert all(v == 0 for v in document["fault_stats"].values())
 
-    def test_faulted_plan_actually_fires(self):
+    def test_faulted_plan_actually_fires(self, tmp_path):
         plan = ChaosPlan(
             groups=(CorrelationGroup("east"),),
             regimes=(FaultRegimeSpec("blackout", kind="partition"),),
@@ -94,12 +102,16 @@ class TestInertBitIdentity:
             ),
             horizon=CampaignHorizon(duration=1600.0),
         )
-        document = run_chaos_checkpoint(small_spec(), plan, seed=3, until=1600.0)
-        assert document["fault_stats"]["dropped_partition"] > 0
-        assert document["groups"]["east"]["clients"] == 4
+        campaign = run_chaos_campaign(
+            RunStore(str(tmp_path)), "storm", small_spec(), plan, seed=3
+        )
+        final = campaign["checkpoints"][-1]
+        assert final["until"] == 1600.0
+        assert final["fault_stats"]["dropped_partition"] > 0
+        assert final["groups"]["east"]["clients"] == 4
         assert (
-            document["groups"]["east"]["fault_stats"]["dropped_partition"]
-            == document["fault_stats"]["dropped_partition"]
+            final["groups"]["east"]["fault_stats"]["dropped_partition"]
+            == final["fault_stats"]["dropped_partition"]
         )
 
 
@@ -151,7 +163,7 @@ class TestGroupConservation:
                 sources[ip] = host.bind(0)
                 group_of_ip[ip] = group
         # One schedule per group, applied to every member link the way
-        # run_fleet does.
+        # a Fleet does.
         from repro.population.chaos import _group_schedule
 
         schedules = {group: _group_schedule(plan, group) for group in members}

@@ -133,6 +133,20 @@ class TestSerialisation:
         with pytest.raises(ChaosError):
             ChaosPlan.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"horizon": {"duraton": 5}},
+            {"regimes": [{"name": "lossy", "kind": "bursty_loss", "probabilty": 0.1}]},
+            {"phases": [{"duration": 10.0}]},
+            {"phases": [{"name": "calm", "duration": "abc"}]},
+        ],
+        ids=["horizon-typo", "regime-typo", "phase-without-name", "bad-duration"],
+    )
+    def test_malformed_sections_raise_chaos_error(self, document):
+        with pytest.raises(ChaosError, match="malformed chaos"):
+            ChaosPlan.from_dict(document)
+
     def test_plan_from_json_memoises(self):
         text = storm_plan().to_json()
         assert plan_from_json(text) is plan_from_json(text)
