@@ -455,9 +455,10 @@ def compile_chaos(plan: ChaosPlan, size: int, seed: int) -> ChaosCompilation:
 
 
 # ------------------------------------------------------------------ campaign
+#: The registered scenario that runs a stored campaign's one pass.
 PASS_SCENARIO = "chaos_campaign_pass"
 #: Result fields a checkpoint contributes to the campaign summary.
-SUMMARY_FIELDS = (
+_SUMMARY_FIELDS = (
     "phase", "successes", "success_rate", "size", "fault_stats", "groups", "aggregate"
 )
 
@@ -581,7 +582,7 @@ def _complete_campaign(
         keys, outcome = run_spec.kwargs(), stored[index]
         entry = {"checkpoint": keys["checkpoint"], "until": keys["until"]}
         if outcome.ok and isinstance(outcome.result, dict):
-            entry.update((key, outcome.result.get(key)) for key in SUMMARY_FIELDS)
+            entry.update((k, outcome.result.get(k)) for k in _SUMMARY_FIELDS)
         else:
             entry["error"] = outcome.error
         checkpoints.append(entry)
